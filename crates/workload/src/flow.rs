@@ -12,16 +12,19 @@
 //! [`FlowRouting`]:
 //!
 //! * deterministic hops (down-links, dimension-order steps) carry the full
-//!   pair flow;
+//!   flow;
 //! * adaptive hops (the fat-tree's `p`-wide up-link bundles) split the
 //!   flow evenly across the bundle, matching the simulator's
 //!   random-free-member rule in expectation;
 //! * ejection is verified to land at the destination's switch, and routing
 //!   loops are detected by a hop cap.
 //!
-//! Flows are stored per **unit per-PE message rate**, so one propagation
-//! (`O(N² · distance)`, like the mesh path enumeration it generalizes)
-//! serves a whole load sweep: `λ_c = unit_flow(c) · λ₀`.
+//! The next hop depends only on the switch and the destination, so the
+//! flows of all sources headed for one destination are merged per channel
+//! and pushed together: one merged propagation per destination,
+//! `O(N · channels reached)` in all. Flows are stored per **unit per-PE
+//! message rate**, so one build serves a whole load sweep:
+//! `λ_c = unit_flow(c) · λ₀`.
 
 use crate::error::WorkloadError;
 use crate::pattern::DestinationPattern;
@@ -130,24 +133,25 @@ pub struct FlowVector {
     pattern: DestinationPattern,
 }
 
-/// One branch of a partially routed pair flow.
-#[derive(Debug, Clone, Copy)]
-struct Front {
-    node: NodeId,
-    via: usize,
-    frac: f64,
-    hops: usize,
-}
-
 impl FlowVector {
     /// Propagates `pattern`'s flow matrix through `routing`.
+    ///
+    /// Flows headed for one destination are merged per channel: a worm's
+    /// next hop depends only on the switch it is at and its destination,
+    /// so all sources' shares on a channel continue together. Each
+    /// destination costs one hop-synchronous sweep over the channels its
+    /// traffic reaches. A channel reached at several hop counts keeps one
+    /// share per hop count, so `D̄` counts every path at its own length.
     ///
     /// # Errors
     ///
     /// [`WorkloadError::Pattern`] when the pattern does not fit the
-    /// machine, [`WorkloadError::Routing`] on routing loops or misrouted
-    /// ejections, [`WorkloadError::Disconnected`] when the pattern
-    /// demands a pair the (degraded) topology can no longer route.
+    /// machine; [`WorkloadError::Disconnected`] for the first pair in
+    /// source-major order that the pattern demands and the (degraded)
+    /// topology can no longer route; [`WorkloadError::Routing`] on routing
+    /// loops, misrouted ejections or empty adaptive bundles. Merged flows
+    /// have no single source, so routing errors name the destination
+    /// only.
     pub fn build<R: FlowRouting + ?Sized>(
         routing: &R,
         pattern: &DestinationPattern,
@@ -156,121 +160,98 @@ impl FlowVector {
         let n_pe = net.num_processors();
         pattern.validate(n_pe)?;
 
-        let n_ch = net.num_channels();
-        let mut unit_flows = vec![0.0f64; n_ch];
-        let mut transitions: Vec<HashMap<usize, f64>> = vec![HashMap::new(); n_ch];
-        let mut weighted_hops = 0.0f64;
-        let hop_cap = 4 * net.num_nodes();
-
-        let mut frontier: Vec<Front> = Vec::with_capacity(16);
-        let mut next: Vec<Front> = Vec::with_capacity(16);
-
+        // Partition is checked up front, pair by pair, so the report names
+        // the first demanded pair in source-major order.
         for src in 0..n_pe {
             for dst in 0..n_pe {
-                if dst == src {
-                    continue;
-                }
-                let pair = pattern.dest_prob(src, dst, n_pe);
-                if pair == 0.0 {
-                    continue;
-                }
-                if !routing.reachable(src, dst) {
+                if dst != src
+                    && !routing.reachable(src, dst)
+                    && pattern.dest_prob(src, dst, n_pe) != 0.0
+                {
                     return Err(WorkloadError::Disconnected { src, dest: dst });
-                }
-                let inject = net.processors()[src].inject;
-                unit_flows[inject.index()] += pair;
-                frontier.clear();
-                frontier.push(Front {
-                    node: net.channel(inject).dst,
-                    via: inject.index(),
-                    frac: pair,
-                    hops: 1,
-                });
-                while !frontier.is_empty() {
-                    next.clear();
-                    for f in &frontier {
-                        if f.hops > hop_cap {
-                            return Err(WorkloadError::Routing(format!(
-                                "route {src}->{dst} exceeded {hop_cap} hops: routing loop?"
-                            )));
-                        }
-                        match routing.flow_hop(f.node, dst) {
-                            FlowHop::Eject => {
-                                let eject = net.processors()[dst].eject;
-                                if net.channel(eject).src != f.node {
-                                    return Err(WorkloadError::Routing(format!(
-                                        "route {src}->{dst} ejected at the wrong switch"
-                                    )));
-                                }
-                                advance(
-                                    net,
-                                    eject,
-                                    f,
-                                    f.frac,
-                                    dst,
-                                    &mut unit_flows,
-                                    &mut transitions,
-                                    &mut weighted_hops,
-                                    &mut next,
-                                )?;
-                            }
-                            FlowHop::Deterministic(ch) => {
-                                advance(
-                                    net,
-                                    ch,
-                                    f,
-                                    f.frac,
-                                    dst,
-                                    &mut unit_flows,
-                                    &mut transitions,
-                                    &mut weighted_hops,
-                                    &mut next,
-                                )?;
-                            }
-                            FlowHop::Adaptive(members) => {
-                                if members.is_empty() {
-                                    return Err(WorkloadError::Routing(format!(
-                                        "route {src}->{dst}: empty adaptive bundle"
-                                    )));
-                                }
-                                let share = f.frac / members.len() as f64;
-                                for &ch in members {
-                                    advance(
-                                        net,
-                                        ch,
-                                        f,
-                                        share,
-                                        dst,
-                                        &mut unit_flows,
-                                        &mut transitions,
-                                        &mut weighted_hops,
-                                        &mut next,
-                                    )?;
-                                }
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut frontier, &mut next);
                 }
             }
         }
 
-        // Total unit message rate is one message per PE per cycle.
-        let avg_distance = weighted_hops / n_pe as f64;
+        let n_ch = net.num_channels();
+        let hop_cap = 4 * net.num_nodes();
+        let mut acc = Accumulators {
+            unit_flows: vec![0.0; n_ch],
+            transitions: vec![Vec::new(); n_ch],
+            weighted_hops: 0.0,
+            next: vec![0.0; n_ch],
+            next_touched: Vec::new(),
+        };
+        // Flow per channel that has crossed exactly `hops` channels.
+        let mut cur = vec![0.0f64; n_ch];
+        let mut cur_touched: Vec<usize> = Vec::new();
 
-        let transitions = transitions
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<(usize, f64)> = m.into_iter().collect();
-                v.sort_unstable_by_key(|&(to, _)| to);
-                v
-            })
-            .collect();
+        for dst in 0..n_pe {
+            for src in 0..n_pe {
+                let pair = pattern.dest_prob(src, dst, n_pe);
+                if pair == 0.0 {
+                    continue;
+                }
+                let inject = net.processors()[src].inject.index();
+                acc.unit_flows[inject] += pair;
+                cur[inject] = pair;
+                cur_touched.push(inject);
+            }
+            let mut hops = 1;
+            while !cur_touched.is_empty() {
+                if hops > hop_cap {
+                    return Err(WorkloadError::Routing(format!(
+                        "route to {dst} exceeded {hop_cap} hops: routing loop?"
+                    )));
+                }
+                for &via in &cur_touched {
+                    let amount = std::mem::take(&mut cur[via]);
+                    let node = net.channel(ChannelId(via)).dst;
+                    match routing.flow_hop(node, dst) {
+                        FlowHop::Eject => {
+                            let eject = net.processors()[dst].eject;
+                            if net.channel(eject).src != node {
+                                return Err(WorkloadError::Routing(format!(
+                                    "route to {dst} ejected at the wrong switch"
+                                )));
+                            }
+                            acc.cross(net, via, eject, amount, hops, dst)?;
+                        }
+                        FlowHop::Deterministic(ch) => acc.cross(net, via, ch, amount, hops, dst)?,
+                        FlowHop::Adaptive(members) => {
+                            if members.is_empty() {
+                                return Err(WorkloadError::Routing(format!(
+                                    "route to {dst}: empty adaptive bundle"
+                                )));
+                            }
+                            let share = amount / members.len() as f64;
+                            for &ch in members {
+                                acc.cross(net, via, ch, share, hops, dst)?;
+                            }
+                        }
+                    }
+                }
+                cur_touched.clear();
+                std::mem::swap(&mut cur, &mut acc.next);
+                std::mem::swap(&mut cur_touched, &mut acc.next_touched);
+                hops += 1;
+            }
+        }
 
+        let Accumulators {
+            unit_flows,
+            mut transitions,
+            weighted_hops,
+            ..
+        } = acc;
+        for row in &mut transitions {
+            row.sort_unstable_by_key(|&(to, _)| to);
+        }
         Ok(FlowVector {
             unit_flows,
             transitions,
-            avg_distance,
+            // Total unit message rate is one message per PE per cycle.
+            avg_distance: weighted_hops / n_pe as f64,
             num_pes: n_pe,
             pattern: *pattern,
         })
@@ -361,42 +342,54 @@ impl FlowVector {
     }
 }
 
-/// Pushes `share` of front `f` across channel `ch`, recording the flow,
-/// the transition from the previous channel, and either terminating at the
-/// destination PE or extending the frontier.
-#[allow(clippy::too_many_arguments)]
-fn advance(
-    net: &ChannelNetwork,
-    ch: ChannelId,
-    f: &Front,
-    share: f64,
-    dst: usize,
-    unit_flows: &mut [f64],
-    transitions: &mut [HashMap<usize, f64>],
-    weighted_hops: &mut f64,
-    next: &mut Vec<Front>,
-) -> Result<()> {
-    unit_flows[ch.index()] += share;
-    *transitions[f.via].entry(ch.index()).or_insert(0.0) += share;
-    let to = net.channel(ch).dst;
-    match net.node(to).kind {
-        NodeKind::Processor { index } => {
-            if index != dst {
-                return Err(WorkloadError::Routing(format!(
-                    "flow for destination {dst} delivered to processor {index}"
-                )));
-            }
-            *weighted_hops += share * (f.hops + 1) as f64;
-            Ok(())
+/// What the merged propagation writes: the flow vector
+/// under construction plus the flow waiting at the next hop count.
+struct Accumulators {
+    unit_flows: Vec<f64>,
+    transitions: Vec<Vec<(usize, f64)>>,
+    weighted_hops: f64,
+    /// Flow per channel that has crossed one more channel than the flow
+    /// being pushed; `next_touched` lists its nonzero entries.
+    next: Vec<f64>,
+    next_touched: Vec<usize>,
+}
+
+impl Accumulators {
+    /// Pushes `share` from channel `via` (the `hops`-th channel of its
+    /// path) across channel `ch`, recording the flow and the transition,
+    /// then either delivering it to PE `dst` or queueing it for the next
+    /// hop.
+    fn cross(
+        &mut self,
+        net: &ChannelNetwork,
+        via: usize,
+        ch: ChannelId,
+        share: f64,
+        hops: usize,
+        dst: usize,
+    ) -> Result<()> {
+        let ch = ch.index();
+        self.unit_flows[ch] += share;
+        let row = &mut self.transitions[via];
+        match row.iter_mut().find(|(to, _)| *to == ch) {
+            Some((_, w)) => *w += share,
+            None => row.push((ch, share)),
         }
-        NodeKind::Switch { .. } => {
-            next.push(Front {
-                node: to,
-                via: ch.index(),
-                frac: share,
-                hops: f.hops + 1,
-            });
-            Ok(())
+        match net.node(net.channel(ChannelId(ch)).dst).kind {
+            NodeKind::Processor { index } if index != dst => Err(WorkloadError::Routing(format!(
+                "flow for destination {dst} delivered to processor {index}"
+            ))),
+            NodeKind::Processor { .. } => {
+                self.weighted_hops += share * (hops + 1) as f64;
+                Ok(())
+            }
+            NodeKind::Switch { .. } => {
+                if self.next[ch] == 0.0 {
+                    self.next_touched.push(ch);
+                }
+                self.next[ch] += share;
+                Ok(())
+            }
         }
     }
 }
@@ -413,7 +406,8 @@ mod tests {
 
     #[test]
     fn uniform_bft_flows_match_closed_form_rates() {
-        for n in [16usize, 64, 256] {
+        // Up to the paper's Fig. 3 size.
+        for n in [16usize, 64, 256, 1024] {
             let tree = bft(n);
             let params = *tree.params();
             let flows = FlowVector::build(&tree, &DestinationPattern::Uniform).unwrap();
@@ -559,5 +553,84 @@ mod tests {
             FlowVector::build(&tree, &bad),
             Err(WorkloadError::Pattern(_))
         ));
+    }
+
+    /// A fat-tree whose routing is broken in one chosen way.
+    struct Broken {
+        tree: ButterflyFatTree,
+        fault: Fault,
+    }
+
+    #[derive(Clone, Copy)]
+    enum Fault {
+        /// Bounce between levels 1 and 2 forever.
+        Loop,
+        /// Eject at whatever switch the worm is at.
+        EjectAnywhere,
+        /// Offer no up-link at all.
+        EmptyBundle,
+        /// Take the ejection channel of the next PE over.
+        WrongPe,
+    }
+
+    impl FlowRouting for Broken {
+        fn network(&self) -> &ChannelNetwork {
+            self.tree.network()
+        }
+
+        fn flow_hop(&self, node: NodeId, dest: usize) -> FlowHop<'_> {
+            match self.fault {
+                Fault::Loop => {
+                    let (level, _) = self.tree.switch_coords(node);
+                    if level == 1 {
+                        FlowHop::Deterministic(self.tree.up_channels_of(node)[0])
+                    } else {
+                        FlowHop::Deterministic(self.tree.down_channels_of(node)[0])
+                    }
+                }
+                Fault::EjectAnywhere => FlowHop::Eject,
+                Fault::EmptyBundle => FlowHop::Adaptive(&[]),
+                Fault::WrongPe => {
+                    let net = self.tree.network();
+                    FlowHop::Deterministic(
+                        net.processors()[(dest + 1) % net.num_processors()].eject,
+                    )
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn broken_routing_is_a_typed_error_naming_the_destination() {
+        let cap = 4 * bft(16).network().num_nodes();
+        for (fault, expect) in [
+            (
+                Fault::Loop,
+                format!("route to 0 exceeded {cap} hops: routing loop?"),
+            ),
+            // PEs 1..4 share PE 0's leaf switch; PE 4's flow is the first
+            // to eject elsewhere.
+            (
+                Fault::EjectAnywhere,
+                "route to 0 ejected at the wrong switch".into(),
+            ),
+            (
+                Fault::EmptyBundle,
+                "route to 0: empty adaptive bundle".into(),
+            ),
+            (
+                Fault::WrongPe,
+                "flow for destination 0 delivered to processor 1".into(),
+            ),
+        ] {
+            let broken = Broken {
+                tree: bft(16),
+                fault,
+            };
+            match FlowVector::build(&broken, &DestinationPattern::Uniform) {
+                Err(WorkloadError::Routing(msg)) => assert_eq!(msg, expect),
+                other => panic!("expected {expect:?}, got {other:?}"),
+            }
+        }
     }
 }
