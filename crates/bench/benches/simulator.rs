@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use wormsim_bench::{bench_sim_config, bench_traffic};
+use wormsim_sim::config::{EngineKind, LaneConfig, ObsConfig};
 use wormsim_sim::router::BftRouter;
-use wormsim_sim::runner::{run_simulation, run_simulation_with_fast_forward, sweep_flit_loads};
+use wormsim_sim::runner::{run_simulation, run_simulation_observed, sweep_flit_loads};
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 
 fn bench_engine(c: &mut Criterion) {
@@ -60,14 +61,24 @@ fn bench_fast_forward(c: &mut Criterion) {
         let router = BftRouter::new(&tree);
         let cfg = bench_sim_config(3);
         let traffic = bench_traffic(flit_load);
-        for (label, enabled) in [("ref", false), ("ff", true)] {
+        for (label, kind) in [
+            ("ref", EngineKind::Reference),
+            ("ff", EngineKind::FastForward),
+        ] {
             group.bench_with_input(
                 BenchmarkId::new(format!("bft{n}_load{flit_load}"), label),
-                &enabled,
-                |b, &ff| {
+                &kind,
+                |b, &kind| {
                     b.iter(|| {
-                        run_simulation_with_fast_forward(&router, &cfg, &traffic, ff)
-                            .messages_completed
+                        run_simulation_observed(
+                            &router,
+                            &cfg,
+                            &traffic,
+                            &LaneConfig::single(),
+                            kind,
+                            &ObsConfig::disabled(),
+                        )
+                        .messages_completed
                     })
                 },
             );

@@ -882,7 +882,7 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let sim = std::fs::read_to_string(root.join("BENCH_sim.json")).unwrap();
         let model = std::fs::read_to_string(root.join("BENCH_model.json")).unwrap();
-        validate_baseline(&sim, "wormsim-bench-sim/v6").unwrap();
+        validate_baseline(&sim, "wormsim-bench-sim/v7").unwrap();
         validate_baseline(&model, "wormsim-bench-model/v3").unwrap();
         let report = compare_dirs(&root, &root, &CompareConfig::default()).unwrap();
         assert_eq!(report.regressions(), 0, "{}", report.render());

@@ -5,12 +5,10 @@
 //!
 //! * `BENCH_sim.json` — simulator wall-clock per operating point (median
 //!   ns over repetitions), cycles/second, and the fraction of cycles not
-//!   individually walked (idle fast-forward spans plus the event core's
-//!   batched silent-drain spans), for the reference (cycle-stepped) walk,
-//!   the fast-forwarding core and the calendar-queue event core side by
-//!   side — including a loaded regime group (`bft64_load0.1_*`), a
-//!   saturating N=1024 point where fast-forwarding finds no idle spans
-//!   and the event core's caches carry the speedup, a faulted group
+//!   individually walked (idle fast-forward spans), for the reference
+//!   (cycle-stepped) walk and the fast-forwarding core side by side —
+//!   including a loaded regime group (`bft64_load0.1_*`), a saturating
+//!   N=1024 point where fast-forwarding finds no idle spans, a faulted group
 //!   (`bft64_load0.1_f*`) pricing the fault-aware router with an empty
 //!   plan and under a 5% link knockout plus a deliberately past-knee
 //!   point (`bft64_pastknee_f5_ff`) proving saturated runs complete and
@@ -57,9 +55,7 @@ use wormsim_guard::KneeConfig;
 use wormsim_sim::config::ObsConfig;
 use wormsim_sim::config::{EngineKind, LaneAllocatorKind, LaneConfig, SimConfig, TrafficConfig};
 use wormsim_sim::router::{BftRouter, FaultedBftRouter};
-use wormsim_sim::runner::{
-    run_simulation_observed, run_simulation_with_engine, run_simulation_with_lanes_and_engine,
-};
+use wormsim_sim::runner::{run_simulation_observed, run_simulation_with_lanes, SimResult};
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 use wormsim_workload::{DestinationPattern, FlowVector};
 
@@ -141,6 +137,30 @@ struct SimPoint {
 }
 
 impl SimPoint {
+    /// Times `reps` runs of one operating point; the point's deterministic
+    /// fields come from the last run.
+    fn measure(
+        name: String,
+        flit_load: f64,
+        reps: usize,
+        mut run: impl FnMut() -> SimResult,
+    ) -> Result<Self, ExperimentError> {
+        let mut last = None;
+        let median_ns = median_ns(reps, || last = Some(run()));
+        let r =
+            last.ok_or_else(|| ExperimentError::Invalid("no benchmark repetition ran".into()))?;
+        Ok(Self {
+            name,
+            n: r.num_processors,
+            flit_load,
+            lanes: r.lanes,
+            engine: r.engine,
+            median_ns,
+            cycles_run: r.cycles_run,
+            cycles_skipped: r.cycles_skipped,
+        })
+    }
+
     fn cycles_per_sec(&self) -> f64 {
         if self.median_ns == 0 {
             f64::NAN
@@ -172,12 +192,10 @@ fn bench_cfg(seed: u64) -> SimConfig {
 pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError> {
     let mut out = ExperimentOutput::new("bench-baseline");
     let reps = if ctx.quick { 3 } else { 15 };
-    let no_rep = || ExperimentError::Invalid("no benchmark repetition ran".into());
 
     // ---- Simulator set: (N, flit load) across the idle→busy spectrum,
-    // each point on all three cores. The (1024, 0.05) point is saturating:
-    // zero idle cycles, so it isolates what the event core's caches buy in
-    // the regime fast-forwarding cannot touch. ----
+    // each point on both cores. The (1024, 0.05) point is saturating:
+    // zero idle cycles, the regime fast-forwarding cannot touch. ----
     let mut grid: Vec<(usize, f64)> = vec![
         (16, 0.001),
         (16, 0.0025),
@@ -189,11 +207,12 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     if ctx.quick {
         grid.retain(|&(n, _)| n <= 256);
     }
-    const ENGINES: [(EngineKind, &str); 3] = [
+    const ENGINES: [(EngineKind, &str); 2] = [
         (EngineKind::Reference, "ref"),
         (EngineKind::FastForward, "ff"),
-        (EngineKind::Event, "ev"),
     ];
+    let single = LaneConfig::single();
+    let disabled = ObsConfig::disabled();
     let mut sim_points: Vec<SimPoint> = Vec::new();
     for &(n, flit_load) in &grid {
         let tree = ButterflyFatTree::new(BftParams::paper(n)?);
@@ -201,29 +220,19 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         let cfg = bench_cfg(ctx.seed);
         let traffic = TrafficConfig::from_flit_load(flit_load, 16)?;
         for (engine, suffix) in ENGINES {
-            let mut last = None;
-            let median = median_ns(reps, || {
-                last = Some(run_simulation_with_engine(&router, &cfg, &traffic, engine));
-            });
-            let r = last.ok_or_else(no_rep)?;
-            sim_points.push(SimPoint {
-                name: format!("bft{n}_load{flit_load}_{suffix}"),
-                n,
+            sim_points.push(SimPoint::measure(
+                format!("bft{n}_load{flit_load}_{suffix}"),
                 flit_load,
-                lanes: 1,
-                engine,
-                median_ns: median,
-                cycles_run: r.cycles_run,
-                cycles_skipped: r.cycles_skipped,
-            });
+                reps,
+                || run_simulation_observed(&router, &cfg, &traffic, &single, engine, &disabled),
+            )?);
         }
     }
 
     // ---- Lanes group: the loaded regime (N=64 at 0.1 flits/cycle/PE)
-    // across lane counts, fast-forward vs event core. Fast-forwarding
-    // finds no idle spans here, so this group is where the event core's
-    // ≥-1× claim is measured; the L = 1 fast-forward point doubles as a
-    // no-overhead check against the plain grid. ----
+    // across lane counts on the fast-forward core. Fast-forwarding finds
+    // no idle spans here; the L = 1 point doubles as a no-overhead check
+    // against the plain grid. ----
     let mut lane_points: Vec<SimPoint> = Vec::new();
     {
         let n = 64usize;
@@ -234,25 +243,12 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         let traffic = TrafficConfig::from_flit_load(flit_load, 16)?;
         for lanes in [1u32, 2, 4] {
             let lc = LaneConfig::new(lanes, LaneAllocatorKind::FirstFree)?;
-            for (engine, suffix) in [(EngineKind::FastForward, ""), (EngineKind::Event, "_ev")] {
-                let mut last = None;
-                let median = median_ns(reps, || {
-                    last = Some(run_simulation_with_lanes_and_engine(
-                        &router, &cfg, &traffic, &lc, engine,
-                    ));
-                });
-                let r = last.ok_or_else(no_rep)?;
-                lane_points.push(SimPoint {
-                    name: format!("bft{n}_load{flit_load}_l{lanes}{suffix}"),
-                    n,
-                    flit_load,
-                    lanes,
-                    engine,
-                    median_ns: median,
-                    cycles_run: r.cycles_run,
-                    cycles_skipped: r.cycles_skipped,
-                });
-            }
+            lane_points.push(SimPoint::measure(
+                format!("bft{n}_load{flit_load}_l{lanes}"),
+                flit_load,
+                reps,
+                || run_simulation_with_lanes(&router, &cfg, &traffic, &lc),
+            )?);
         }
     }
 
@@ -260,7 +256,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     // router. The f0 point (empty plan) prices the fault-aware dispatch
     // itself — it must stay within noise of the pristine bft64_load0.1_l1
     // point, since an empty plan keeps every original code path. The f5
-    // points (5% link knockout, still fully connected) time actual
+    // point (5% link knockout, still fully connected) times actual
     // degraded routing: restricted up-bundle masks and dead-lane
     // pre-occupancy. The group closes with a deliberately past-knee f5
     // point (1.5× the bracketed pristine model knee): the run saturates
@@ -281,54 +277,21 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         ];
         for (tag, plan) in plans {
             let router = FaultedBftRouter::new(&tree, plan)?;
-            let engines: &[(EngineKind, &str)] = if tag == "f0" {
-                &[(EngineKind::FastForward, "_ff")]
-            } else {
-                &[(EngineKind::FastForward, "_ff"), (EngineKind::Event, "_ev")]
-            };
-            for &(engine, suffix) in engines {
-                let mut last = None;
-                let median = median_ns(reps, || {
-                    last = Some(run_simulation_with_lanes_and_engine(
-                        &router, &cfg, &traffic, &lc, engine,
-                    ));
-                });
-                let r = last.ok_or_else(no_rep)?;
-                fault_points.push(SimPoint {
-                    name: format!("bft{n}_load{flit_load}_{tag}{suffix}"),
-                    n,
-                    flit_load,
-                    lanes: 1,
-                    engine,
-                    median_ns: median,
-                    cycles_run: r.cycles_run,
-                    cycles_skipped: r.cycles_skipped,
-                });
-            }
+            fault_points.push(SimPoint::measure(
+                format!("bft{n}_load{flit_load}_{tag}_ff"),
+                flit_load,
+                reps,
+                || run_simulation_with_lanes(&router, &cfg, &traffic, &lc),
+            )?);
             if tag == "f5" {
                 let past_knee = 1.5 * knee64;
                 let past_traffic = TrafficConfig::from_flit_load(past_knee, 16)?;
-                let mut last = None;
-                let median = median_ns(reps, || {
-                    last = Some(run_simulation_with_lanes_and_engine(
-                        &router,
-                        &cfg,
-                        &past_traffic,
-                        &lc,
-                        EngineKind::FastForward,
-                    ));
-                });
-                let r = last.ok_or_else(no_rep)?;
-                fault_points.push(SimPoint {
-                    name: "bft64_pastknee_f5_ff".to_string(),
-                    n,
-                    flit_load: past_knee,
-                    lanes: 1,
-                    engine: EngineKind::FastForward,
-                    median_ns: median,
-                    cycles_run: r.cycles_run,
-                    cycles_skipped: r.cycles_skipped,
-                });
+                fault_points.push(SimPoint::measure(
+                    "bft64_pastknee_f5_ff".to_string(),
+                    past_knee,
+                    reps,
+                    || run_simulation_with_lanes(&router, &cfg, &past_traffic, &lc),
+                )?);
             }
         }
     }
@@ -346,19 +309,11 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         let traffic = TrafficConfig::from_flit_load(0.1, 16)?;
         let lc = LaneConfig::new(1, LaneAllocatorKind::FirstFree)?;
         let obs_reps = if ctx.quick { 5 } else { 31 };
-        let disabled = ObsConfig::disabled();
         let (plain, off) = interleaved_median_ns(
             obs_reps,
             || {
                 std::hint::black_box(
-                    run_simulation_with_lanes_and_engine(
-                        &router,
-                        &cfg,
-                        &traffic,
-                        &lc,
-                        EngineKind::FastForward,
-                    )
-                    .cycles_run,
+                    run_simulation_with_lanes(&router, &cfg, &traffic, &lc).cycles_run,
                 );
             },
             || {
@@ -509,9 +464,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         "not walked %",
         "vs ref",
     ]);
-    for triple in sim_points.chunks(ENGINES.len()) {
-        let ref_ns = triple[0].median_ns;
-        for p in triple {
+    for pair in sim_points.chunks(ENGINES.len()) {
+        let ref_ns = pair[0].median_ns;
+        for p in pair {
             tbl.row(vec![
                 p.name.clone(),
                 num(p.median_ns as f64 / 1e3, 1),
@@ -531,29 +486,15 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         reps, ctx.seed
     ));
     out.section(tbl.render());
-    let mut lane_tbl = Table::new(vec![
-        "point",
-        "median us",
-        "cycles/s",
-        "vs L=1",
-        "ev speedup",
-    ]);
+    let mut lane_tbl = Table::new(vec!["point", "median us", "cycles/s", "vs L=1"]);
     let l1_ns = lane_points.first().map_or(1, |p| p.median_ns.max(1));
-    for pair in lane_points.chunks(2) {
-        let ff_ns = pair[0].median_ns;
-        for p in pair {
-            lane_tbl.row(vec![
-                p.name.clone(),
-                num(p.median_ns as f64 / 1e3, 1),
-                format!("{:.2e}", p.cycles_per_sec()),
-                num(p.median_ns as f64 / l1_ns as f64, 2),
-                if p.engine == EngineKind::Event {
-                    num(ff_ns as f64 / p.median_ns.max(1) as f64, 2)
-                } else {
-                    "-".to_string()
-                },
-            ]);
-        }
+    for p in &lane_points {
+        lane_tbl.row(vec![
+            p.name.clone(),
+            num(p.median_ns as f64 / 1e3, 1),
+            format!("{:.2e}", p.cycles_per_sec()),
+            num(p.median_ns as f64 / l1_ns as f64, 2),
+        ]);
     }
     out.section("Lanes group (N=64, load 0.1, first-free allocator; loaded regime):");
     out.section(lane_tbl.render());
@@ -602,7 +543,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     // ---- Write the JSON baselines. ----
     let mut sim_json = String::from("{\n");
-    let _ = writeln!(sim_json, "  \"schema\": \"wormsim-bench-sim/v6\",");
+    let _ = writeln!(sim_json, "  \"schema\": \"wormsim-bench-sim/v7\",");
     let _ = writeln!(sim_json, "  \"quick\": {},", ctx.quick);
     let _ = writeln!(sim_json, "  \"repetitions\": {reps},");
     let _ = writeln!(
@@ -727,26 +668,22 @@ mod tests {
         assert_eq!(out.artifacts.len(), 2, "report:\n{}", out.report);
         let sim = std::fs::read_to_string(dir.join("BENCH_sim.json")).unwrap();
         let model = std::fs::read_to_string(dir.join("BENCH_model.json")).unwrap();
-        assert!(sim.contains("\"schema\": \"wormsim-bench-sim/v6\""));
+        assert!(sim.contains("\"schema\": \"wormsim-bench-sim/v7\""));
         assert!(sim.contains("\"obs_overhead\""), "overhead point present");
         assert!(sim.contains("\"budget\": 1.01"));
         assert!(sim.contains("bft16_load0.001_ff"));
         assert!(
-            sim.contains("bft16_load0.001_ev"),
-            "event grid points present"
+            sim.contains("bft16_load0.001_ref"),
+            "reference grid points present"
         );
-        assert!(sim.contains("\"engine\": \"event\""));
+        assert!(sim.contains("\"engine\": \"reference\""));
         assert!(sim.contains("bft64_load0.1_l2"), "lanes sim group present");
-        assert!(
-            sim.contains("bft64_load0.1_l2_ev"),
-            "loaded-regime event points present"
-        );
         assert!(
             sim.contains("bft64_load0.1_f0_ff"),
             "empty-plan fault-overhead point present"
         );
         assert!(
-            sim.contains("bft64_load0.1_f5_ev"),
+            sim.contains("bft64_load0.1_f5_ff"),
             "degraded-routing fault points present"
         );
         assert!(

@@ -24,7 +24,7 @@ use wormsim_sim::config::{
     ArrivalProcess, DestinationPattern, LaneAllocatorKind, LaneConfig, MmppProfile, TrafficConfig,
 };
 use wormsim_sim::router::BftRouter;
-use wormsim_sim::runner::{run_simulation_with_lanes, sweep_traffic_with_lanes};
+use wormsim_sim::runner::{run_simulation_with_lanes, sweep_traffic};
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 
 const LANE_COUNTS: [u32; 3] = [1, 2, 4];
@@ -90,7 +90,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
             f64::from(s),
             ModelOptions::paper().with_lanes(lanes),
         );
-        let results = sweep_traffic_with_lanes(&router, &cfg, &base, &lc, &loads);
+        let results = sweep_traffic(&router, &cfg, &base, &lc, &loads);
         for r in &results {
             let model_l = model
                 .latency_at_flit_load(r.offered_flit_load)

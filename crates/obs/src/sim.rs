@@ -13,8 +13,8 @@
 //!   number of cycles in which at least one lane of the channel was
 //!   allocated to some worm. Maintained transition-based (an open-interval
 //!   start on the 0→1 lane-occupancy edge, closed on the →0 edge), so it
-//!   is exact even across fast-forwarded idle spans and batched silent
-//!   drain spans, which contain no transitions.
+//!   is exact even across fast-forwarded idle spans, which contain no
+//!   transitions.
 //!
 //! From these, `stalled = held − busy` (held but not transmitting) and
 //! `idle = cycles_run − held`, giving the conservation law checked by
@@ -285,16 +285,6 @@ impl SimTrace {
         self.busy[channel] += 1;
         if let Some(ts) = &mut self.ts {
             ts.add_busy_span(t, 1);
-        }
-    }
-
-    /// A silent drain span transmitted one flit per cycle on `channel`
-    /// over cycles `[t, t + span)` (batched equivalent of `on_flit`).
-    #[inline]
-    pub fn on_drain_span(&mut self, channel: usize, t: u64, span: u64) {
-        self.busy[channel] += span;
-        if let Some(ts) = &mut self.ts {
-            ts.add_busy_span(t, span);
         }
     }
 
@@ -734,50 +724,22 @@ mod tests {
     }
 
     #[test]
-    fn drain_span_batches_busy() {
-        let cfg = ObsConfig::counters_only();
-        let mut tr = SimTrace::new(2, 1, &cfg);
-        tr.on_drain_span(0, 0, 5);
-        tr.on_drain_span(1, 0, 5);
-        // Give the channels matching occupancy so conservation holds.
-        tr.on_inject(0, 0, 0, 1);
-        tr.on_grant(0, 0, 0, 0);
-        tr.on_grant(0, 0, 1, 0);
-        tr.on_release(7, 0, 0, 8);
-        tr.on_release(7, 1, 0, 8);
-        let snap = tr.finish(8, 2);
-        assert_eq!(snap.channels[0].busy_cycles, 5);
-        assert_eq!(snap.channels[0].stalled_cycles, 3);
-        snap.check_conservation().unwrap();
-    }
-
-    #[test]
-    fn windowed_replay_reconciles_and_is_batching_invariant() {
-        // The same replay fed per-cycle and with a batched drain span
-        // must produce identical windows, and both must reconcile with
-        // the run totals via check_conservation.
+    fn windowed_replay_reconciles_with_run_totals() {
+        // A walked replay's windows must reconcile with the run totals
+        // via check_conservation.
         let cfg = ObsConfig::counters_only().with_time_series(4);
-        let replay = |batched: bool| {
-            let mut tr = SimTrace::new(1, 1, &cfg);
-            tr.on_inject(0, 1, 0, 1);
-            tr.on_route_chosen(0, 1, 0, false);
-            tr.on_grant(0, 1, 0, 0);
-            // Six flits over [2, 8): either walked or one drain span.
-            if batched {
-                tr.on_drain_span(0, 2, 6);
-            } else {
-                for t in 2..8 {
-                    tr.on_flit(0, t);
-                }
-            }
-            tr.on_release(8, 0, 0, 7);
-            tr.on_drain(0, 8);
-            tr.on_deliver(0, 9, 8, 1);
-            tr.finish(12, 0)
-        };
-        let walked = replay(false);
-        let batched = replay(true);
-        assert_eq!(walked, batched);
+        let mut tr = SimTrace::new(1, 1, &cfg);
+        tr.on_inject(0, 1, 0, 1);
+        tr.on_route_chosen(0, 1, 0, false);
+        tr.on_grant(0, 1, 0, 0);
+        // Six flits over [2, 8).
+        for t in 2..8 {
+            tr.on_flit(0, t);
+        }
+        tr.on_release(8, 0, 0, 7);
+        tr.on_drain(0, 8);
+        tr.on_deliver(0, 9, 8, 1);
+        let walked = tr.finish(12, 0);
         walked.check_conservation().unwrap();
         let ts = walked.time_series.unwrap();
         assert_eq!(ts.window_cycles, 4);

@@ -11,25 +11,20 @@
 //!
 //! The sampler is driven entirely by the existing `SimTrace` hooks and
 //! never draws RNG or alters control flow, so it is bit-transparent like
-//! the rest of the observer. The subtle requirement is that the three
-//! engine cores deliver the *same* per-window numbers even though they
-//! walk different cycles:
+//! the rest of the observer. The subtle requirement is that both engine
+//! cores deliver the *same* per-window numbers even though they walk
+//! different cycles:
 //!
 //! * Fast-forwarded idle spans contain no events and no occupancy, so
-//!   the windows they cover are all-zero on every core by construction.
-//! * Batched silent-drain spans arrive as one `(start, span)` call on
-//!   the event core but as `span` individual per-cycle calls on the
-//!   reference core; [`TimeSeries::add_busy_span`] splits the span
-//!   exactly at window boundaries, so both attributions agree.
+//!   the windows they cover are all-zero on both cores by construction.
 //! * Union-of-occupancy held intervals close retroactively (at release
 //!   time the interval extends back to its 0→1 edge); they are clipped
 //!   across every window they overlap.
 //! * The in-flight sample for a completed window is taken when the
 //!   *frontier* (latest hook timestamp) first passes the window's end —
-//!   and only hooks that fire identically on every core advance the
-//!   frontier. Busy attribution (`on_flit` / `on_drain_span`, the one
-//!   place cores differ in call shape) never advances it, so sampling
-//!   points, and therefore sampled values, are core-independent.
+//!   and only hooks that fire identically on both cores advance the
+//!   frontier. Busy attribution (`on_flit`) never advances it, so
+//!   sampling points, and therefore sampled values, are core-independent.
 //!
 //! # Ring-buffer storage
 //!
@@ -236,9 +231,9 @@ impl TimeSeries {
     }
 
     /// One flit per cycle crossed some channel over `[start, start+span)`;
-    /// split exactly at window boundaries. Covers both the per-cycle
-    /// reference walk (`span == 1`) and batched silent-drain spans.
-    /// Deliberately does not advance the frontier (see module docs).
+    /// split exactly at window boundaries (the engine reports one flit at
+    /// a time, `span == 1`). Deliberately does not advance the frontier
+    /// (see module docs).
     pub fn add_busy_span(&mut self, start: u64, span: u64) {
         self.add_span(start, span, |w, take| w.busy_cycles += take);
     }
@@ -404,7 +399,7 @@ mod tests {
     #[test]
     fn spans_split_exactly_at_window_boundaries() {
         let mut ts = TimeSeries::new(2, &cfg(10));
-        // A 25-cycle drain span starting at cycle 5 covers windows
+        // A 25-cycle busy span starting at cycle 5 covers windows
         // 0 (5 cycles), 1 (10), 2 (10).
         ts.add_busy_span(5, 25);
         let r = ts.finish(30);

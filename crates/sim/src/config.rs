@@ -17,31 +17,23 @@ pub type TrafficPattern = DestinationPattern;
 
 /// Which execution core runs the simulation.
 ///
-/// All three kinds are **bit-exact**: given the same seed and traffic they
+/// Both kinds are **bit-exact**: given the same seed and traffic they
 /// produce field-for-field identical [`crate::runner::SimResult`]s (proved
 /// by `testutil::differential` and the replay regression suites). They
-/// differ only in how much work each simulated cycle costs:
+/// differ only in how many simulated cycles are individually walked:
 ///
 /// * [`Reference`](Self::Reference) — walks every cycle unconditionally.
-///   The oracle: simplest code path, no skipping, no caching.
+///   The oracle: simplest code path, no skipping.
 /// * [`FastForward`](Self::FastForward) — the reference walk plus
-///   whole-network idle skipping (PR 3). Wins at low load where idle
-///   gaps exist; neutral in the loaded regime.
-/// * [`Event`](Self::Event) — the discrete-event core: calendar-queue
-///   arrival scheduling, routing/grant caches, free-lane bitmasks and
-///   silent-drain span batching, advancing per-worm state only when it
-///   can change. Aimed at the loaded regime (and large machines) where
-///   fast-forward gains nothing.
+///   whole-network idle skipping. Wins at low load where idle gaps exist;
+///   neutral in the loaded regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Plain cycle walk — the bit-exact oracle.
     Reference,
-    /// Cycle walk with whole-network idle skipping (the long-standing
-    /// default).
+    /// Cycle walk with whole-network idle skipping (the default).
     #[default]
     FastForward,
-    /// Discrete-event core with calendar-queue scheduling.
-    Event,
 }
 
 impl EngineKind {
@@ -51,7 +43,6 @@ impl EngineKind {
         match self {
             EngineKind::Reference => "reference",
             EngineKind::FastForward => "fast-forward",
-            EngineKind::Event => "event",
         }
     }
 }

@@ -63,8 +63,8 @@ pub struct SimResult {
     /// Total cycles simulated (including warmup and drain).
     pub cycles_run: u64,
     /// Of [`Self::cycles_run`], how many were **not individually walked**:
-    /// idle spans jumped by fast-forwarding, plus (event engine) batched
-    /// silent drain spans. Always 0 for [`EngineKind::Reference`].
+    /// idle spans jumped by fast-forwarding. Always 0 for
+    /// [`EngineKind::Reference`].
     /// Diagnostic only: every other field is bit-identical whichever
     /// engine ran — compare against [`Self::engine`] to interpret it.
     pub cycles_skipped: u64,
@@ -81,7 +81,7 @@ pub struct SimResult {
     /// Observability snapshot, present when an observer was attached
     /// ([`run_simulation_observed`]). Observation is RNG-neutral: every
     /// other field is bit-identical with or without it, and the snapshot
-    /// itself is identical across all [`EngineKind`]s.
+    /// itself is identical across both [`EngineKind`]s.
     pub obs: Option<SimSnapshot>,
 }
 
@@ -93,52 +93,15 @@ impl SimResult {
     }
 }
 
-/// Runs one simulation to completion (idle-span fast-forwarding enabled —
-/// the default engine).
+/// Runs one simulation to completion on single-lane channels (idle-span
+/// fast-forwarding enabled — the default engine).
 #[must_use]
 pub fn run_simulation<R: Router>(
     router: &R,
     cfg: &SimConfig,
     traffic: &TrafficConfig,
 ) -> SimResult {
-    run_simulation_with_fast_forward(router, cfg, traffic, true)
-}
-
-/// Runs one simulation with fast-forwarding explicitly on or off.
-///
-/// `fast_forward = false` recovers the reference cycle-stepped engine;
-/// results are bit-for-bit identical either way (see
-/// `tests/fast_forward_replay.rs`), so the switch exists only for
-/// equivalence tests and speedup benchmarks.
-#[must_use]
-pub fn run_simulation_with_fast_forward<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    traffic: &TrafficConfig,
-    fast_forward: bool,
-) -> SimResult {
-    let kind = if fast_forward {
-        EngineKind::FastForward
-    } else {
-        EngineKind::Reference
-    };
-    run_simulation_with_engine(router, cfg, traffic, kind)
-}
-
-/// Runs one simulation on the selected execution core
-/// ([`EngineKind`]); single-lane channels.
-///
-/// All cores are bit-exact — the selector trades per-cycle cost, not
-/// results (see `testutil::differential` and
-/// `tests/event_engine_replay.rs`).
-#[must_use]
-pub fn run_simulation_with_engine<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    traffic: &TrafficConfig,
-    kind: EngineKind,
-) -> SimResult {
-    run_simulation_with_lanes_and_engine(router, cfg, traffic, &LaneConfig::single(), kind)
+    Engine::new(router, cfg, traffic).run()
 }
 
 /// Runs one simulation with the given virtual-channel configuration.
@@ -156,29 +119,14 @@ pub fn run_simulation_with_lanes<R: Router>(
     Engine::with_lanes(router, cfg, traffic, lanes).run()
 }
 
-/// Runs one simulation with both a virtual-channel configuration and an
-/// explicit execution core — the fully general entry point.
-#[must_use]
-pub fn run_simulation_with_lanes_and_engine<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    traffic: &TrafficConfig,
-    lanes: &LaneConfig,
-    kind: EngineKind,
-) -> SimResult {
-    let mut engine = Engine::with_lanes(router, cfg, traffic, lanes);
-    engine.set_engine_kind(kind);
-    engine.run()
-}
-
 /// Runs one simulation with the observability layer attached:
 /// worm-lifecycle events, per-channel busy/stalled/idle accounting,
 /// per-lane grant tracking and a delivered-latency histogram, returned
-/// in [`SimResult::obs`]. With `obs.enabled == false` this is exactly
-/// [`run_simulation_with_lanes_and_engine`] (the observer slot stays
-/// `None` and every hook is a single not-taken branch — the bench
-/// baseline's `bft64_load0.1_l1` overhead point holds that path to a
-/// ≤1% budget).
+/// in [`SimResult::obs`]. It is also the entry point that selects the
+/// execution core: `kind` = [`EngineKind::Reference`] runs the oracle
+/// walk. With `obs.enabled == false` the observer slot stays `None` and
+/// every hook is a single not-taken branch — the bench baseline's
+/// `bft64_load0.1_l1` overhead point holds that path to a ≤1% budget.
 #[must_use]
 pub fn run_simulation_observed<R: Router>(
     router: &R,
@@ -192,54 +140,6 @@ pub fn run_simulation_observed<R: Router>(
     engine.set_engine_kind(kind);
     engine.set_observer(obs);
     engine.run()
-}
-
-/// Like [`sweep_traffic`] but with the given virtual-channel configuration
-/// applied at every point (same per-point seed derivation, so the `L = 1`
-/// sweep reproduces [`sweep_traffic`] exactly).
-///
-/// # Panics
-///
-/// Same as [`sweep_traffic`].
-#[must_use]
-pub fn sweep_traffic_with_lanes<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    base: &TrafficConfig,
-    lanes: &LaneConfig,
-    flit_loads: &[f64],
-) -> Vec<SimResult> {
-    sweep_traffic_with_engine(router, cfg, base, lanes, EngineKind::default(), flit_loads)
-}
-
-/// Like [`sweep_traffic_with_lanes`] with an explicit execution core per
-/// point — the fully general sweep. Per-point seeds are derived exactly as
-/// in [`sweep_traffic`], and every core is bit-exact, so sweeps agree
-/// field-for-field across [`EngineKind`]s.
-///
-/// # Panics
-///
-/// Same as [`sweep_traffic`].
-#[must_use]
-// Panics are the documented contract of the sweep family (see # Panics);
-// callers wanting typed errors validate via `TrafficConfig` first.
-#[allow(clippy::expect_used)]
-pub fn sweep_traffic_with_engine<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    base: &TrafficConfig,
-    lanes: &LaneConfig,
-    kind: EngineKind,
-    flit_loads: &[f64],
-) -> Vec<SimResult> {
-    base.pattern
-        .validate(router.network().num_processors())
-        .expect("destination pattern must fit the machine");
-    run_indexed_parallel(flit_loads.len(), |i| {
-        let point_cfg = cfg.with_seed(point_seed(cfg.seed, i as u64));
-        let traffic = base.at_flit_load(flit_loads[i]).expect("valid sweep load");
-        run_simulation_with_lanes_and_engine(router, &point_cfg, &traffic, lanes, kind)
-    })
 }
 
 /// Derives the uncorrelated per-point seed used by [`sweep_flit_loads`]
@@ -272,8 +172,8 @@ pub fn saturation_probe_seed(base_seed: u64, index: u64) -> u64 {
 /// Runs one simulation per offered flit load, in parallel across OS threads
 /// (std scoped threads; one deterministic seed per point derived from
 /// the base seed via [`point_seed`]), returning results in input order.
-/// Poisson/uniform traffic; see [`sweep_traffic`] to sweep an arbitrary
-/// workload.
+/// Poisson/uniform traffic on single-lane channels; see [`sweep_traffic`]
+/// to sweep an arbitrary workload or lane configuration.
 ///
 /// # Panics
 ///
@@ -289,11 +189,12 @@ pub fn sweep_flit_loads<R: Router>(
     flit_loads: &[f64],
 ) -> Vec<SimResult> {
     let base = TrafficConfig::from_flit_load(0.0, worm_flits).expect("valid worm length");
-    sweep_traffic(router, cfg, &base, flit_loads)
+    sweep_traffic(router, cfg, &base, &LaneConfig::single(), flit_loads)
 }
 
 /// Like [`sweep_flit_loads`] but carrying `base`'s full workload (pattern
-/// and arrival process) to every point; only the offered load varies.
+/// and arrival process) and the given virtual-channel configuration to
+/// every point; only the offered load varies.
 ///
 /// # Panics
 ///
@@ -309,6 +210,7 @@ pub fn sweep_traffic<R: Router>(
     router: &R,
     cfg: &SimConfig,
     base: &TrafficConfig,
+    lanes: &LaneConfig,
     flit_loads: &[f64],
 ) -> Vec<SimResult> {
     base.pattern
@@ -317,7 +219,7 @@ pub fn sweep_traffic<R: Router>(
     run_indexed_parallel(flit_loads.len(), |i| {
         let point_cfg = cfg.with_seed(point_seed(cfg.seed, i as u64));
         let traffic = base.at_flit_load(flit_loads[i]).expect("valid sweep load");
-        run_simulation(router, &point_cfg, &traffic)
+        run_simulation_with_lanes(router, &point_cfg, &traffic, lanes)
     })
 }
 
@@ -404,24 +306,10 @@ pub fn replicate<R: Router>(
     traffic: &TrafficConfig,
     replications: usize,
 ) -> ReplicatedResult {
-    replicate_with_engine(router, cfg, traffic, replications, EngineKind::default())
-}
-
-/// Like [`replicate`] with an explicit execution core. Identical seed
-/// derivation — and bit-exact cores — so replicated aggregates agree
-/// across [`EngineKind`]s.
-#[must_use]
-pub fn replicate_with_engine<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    traffic: &TrafficConfig,
-    replications: usize,
-    kind: EngineKind,
-) -> ReplicatedResult {
     assert!(replications >= 1);
     let runs = run_indexed_parallel(replications, |i| {
         let seed = replication_seed(cfg.seed, i as u64);
-        run_simulation_with_engine(router, &cfg.with_seed(seed), traffic, kind)
+        run_simulation(router, &cfg.with_seed(seed), traffic)
     });
     let n = runs.len() as f64;
     let mean_latency = runs.iter().map(|r| r.avg_latency).sum::<f64>() / n;
@@ -605,7 +493,7 @@ mod tests {
                 target: 9999,
             },
         );
-        let _ = sweep_traffic(&router, &quick_cfg(), &base, &[0.01]);
+        let _ = sweep_traffic(&router, &quick_cfg(), &base, &LaneConfig::single(), &[0.01]);
     }
 
     #[test]

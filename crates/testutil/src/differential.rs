@@ -1,16 +1,15 @@
 //! Differential testing of the simulator's execution cores.
 //!
-//! The simulator ships three bit-exact cores behind
+//! The simulator ships two bit-exact cores behind
 //! [`EngineKind`](wormsim_sim::config::EngineKind): the reference cycle
-//! walk (the oracle), idle-span fast-forwarding, and the event-driven
-//! calendar-queue core. Their contract is *observational equality*: the
-//! same seeded configuration must yield a field-for-field identical
-//! [`SimResult`] whichever core ran. This module is that contract's
-//! enforcement point — one comparison helper used by the replay
-//! regressions (`tests/fast_forward_replay.rs`, `tests/lanes_regression.rs`,
-//! `tests/event_engine_replay.rs`) and one harness that runs a config on
-//! the reference oracle and any set of optimized cores and asserts
-//! equality, used by the randomized differential suite.
+//! walk (the oracle) and idle-span fast-forwarding. Their contract is
+//! *observational equality*: the same seeded configuration must yield a
+//! field-for-field identical [`SimResult`] whichever core ran. This module
+//! is that contract's enforcement point — one comparison helper used by
+//! the replay regressions (`tests/fast_forward_replay.rs`,
+//! `tests/lanes_regression.rs`) and one harness that runs a config on the
+//! reference oracle and any set of cores and asserts equality, used by
+//! the randomized differential suite.
 //!
 //! Floats are compared via `to_bits`, so NaN sentinels (e.g. the CI
 //! half-width of a tiny population) compare equal when both runs produce
@@ -20,9 +19,7 @@
 
 use wormsim_sim::config::{EngineKind, LaneConfig, ObsConfig, SimConfig, TrafficConfig};
 use wormsim_sim::router::Router;
-use wormsim_sim::runner::{
-    run_simulation_observed, run_simulation_with_lanes_and_engine, SimResult,
-};
+use wormsim_sim::runner::{run_simulation_observed, SimResult};
 
 /// Field-by-field bit comparison of two simulation results.
 ///
@@ -131,11 +128,11 @@ pub fn assert_engine_equivalence<R: Router>(
     kinds: &[EngineKind],
     label: &str,
 ) -> SimResult {
-    let oracle =
-        run_simulation_with_lanes_and_engine(router, cfg, traffic, lanes, EngineKind::Reference);
+    let bare = ObsConfig::disabled();
+    let oracle = run_simulation_observed(router, cfg, traffic, lanes, EngineKind::Reference, &bare);
     assert_eq!(oracle.cycles_skipped, 0, "{label}: the oracle never skips");
     for &kind in kinds {
-        let got = run_simulation_with_lanes_and_engine(router, cfg, traffic, lanes, kind);
+        let got = run_simulation_observed(router, cfg, traffic, lanes, kind, &bare);
         assert_sim_results_identical(
             &got,
             &oracle,
@@ -152,7 +149,7 @@ pub fn assert_engine_equivalence<R: Router>(
 ///    identical to the bare run's — attaching the observer perturbs
 ///    nothing (RNG-neutral, no control-flow changes); and
 /// 2. the captured [`wormsim_obs::SimSnapshot`]s are identical across
-///    all engine kinds, and satisfy the conservation laws.
+///    engine kinds, and satisfy the conservation laws.
 ///
 /// Returns the reference engine's observed result (snapshot attached)
 /// so callers can inspect the metrics.
@@ -180,7 +177,8 @@ pub fn assert_observation_transparent<R: Router>(
         .check_conservation()
         .unwrap_or_else(|e| panic!("{label}: oracle conservation: {e}"));
     for &kind in std::iter::once(&EngineKind::Reference).chain(kinds) {
-        let bare = run_simulation_with_lanes_and_engine(router, cfg, traffic, lanes, kind);
+        let bare =
+            run_simulation_observed(router, cfg, traffic, lanes, kind, &ObsConfig::disabled());
         let observed = run_simulation_observed(router, cfg, traffic, lanes, kind, obs);
         let snap = observed
             .obs

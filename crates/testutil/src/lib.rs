@@ -82,7 +82,7 @@ pub fn lane_config(lanes: u32) -> LaneConfig {
 }
 
 /// The standard seeded lane-sweep grid: one validated config per
-/// [`LANE_SWEEP`] entry, for use with `sweep_traffic_with_lanes` /
+/// [`LANE_SWEEP`] entry, for use with `sweep_traffic` /
 /// `run_simulation_with_lanes`.
 #[must_use]
 pub fn lane_sweep_configs() -> Vec<LaneConfig> {

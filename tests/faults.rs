@@ -6,7 +6,7 @@
 //!    [`FaultPlan`] is bit-for-bit the pristine router on every engine
 //!    core, for every topology. Fault-awareness costs nothing when
 //!    nothing is broken.
-//! 2. **Cross-engine identity under faults** — all three execution cores
+//! 2. **Cross-engine identity under faults** — both execution cores
 //!    produce field-for-field identical `SimResult`s under any fault
 //!    plan, including plans that disconnect processor pairs.
 //! 3. **Graceful degradation** — disconnection surfaces as
@@ -27,12 +27,8 @@ use wormsim_testutil::{
 use wormsim_topology::hypercube::Hypercube;
 use wormsim_topology::mesh::Mesh;
 
-const ALL_ENGINES: [EngineKind; 3] = [
-    EngineKind::Reference,
-    EngineKind::FastForward,
-    EngineKind::Event,
-];
-const OPTIMIZED: [EngineKind; 2] = [EngineKind::FastForward, EngineKind::Event];
+const ALL_ENGINES: [EngineKind; 2] = [EngineKind::Reference, EngineKind::FastForward];
+const OPTIMIZED: [EngineKind; 1] = [EngineKind::FastForward];
 
 fn lanes1() -> SimLaneConfig {
     SimLaneConfig::default()
@@ -46,8 +42,9 @@ fn empty_fault_plan_is_bit_identical_to_the_pristine_bft_router() {
     let cfg = quick_sim_config(TEST_SEED);
     let traffic = test_traffic(0.05, 16);
     for kind in ALL_ENGINES {
-        let a = run_simulation_with_lanes_and_engine(&pristine, &cfg, &traffic, &lanes1(), kind);
-        let b = run_simulation_with_lanes_and_engine(&faulted, &cfg, &traffic, &lanes1(), kind);
+        let bare = ObsConfig::disabled();
+        let a = run_simulation_observed(&pristine, &cfg, &traffic, &lanes1(), kind, &bare);
+        let b = run_simulation_observed(&faulted, &cfg, &traffic, &lanes1(), kind, &bare);
         assert_sim_results_identical(&a, &b, &format!("bft-64 empty plan [{}]", kind.label()));
         assert_eq!(b.messages_unroutable, 0);
     }
@@ -59,36 +56,22 @@ fn empty_fault_plan_is_bit_identical_on_mesh_and_hypercube() {
     let traffic = test_traffic(0.04, 16);
 
     let cube = Hypercube::new(4).unwrap();
-    let a = run_simulation_with_lanes_and_engine(
-        &HypercubeRouter::new(&cube),
-        &cfg,
-        &traffic,
-        &lanes1(),
-        EngineKind::FastForward,
-    );
-    let b = run_simulation_with_lanes_and_engine(
+    let a = run_simulation_with_lanes(&HypercubeRouter::new(&cube), &cfg, &traffic, &lanes1());
+    let b = run_simulation_with_lanes(
         &FaultedHypercubeRouter::new(&cube, FaultPlan::none(cube.network())).unwrap(),
         &cfg,
         &traffic,
         &lanes1(),
-        EngineKind::FastForward,
     );
     assert_sim_results_identical(&a, &b, "hypercube-16 empty plan");
 
     let mesh = Mesh::new(4, 2).unwrap();
-    let a = run_simulation_with_lanes_and_engine(
-        &MeshRouter::new(&mesh),
-        &cfg,
-        &traffic,
-        &lanes1(),
-        EngineKind::FastForward,
-    );
-    let b = run_simulation_with_lanes_and_engine(
+    let a = run_simulation_with_lanes(&MeshRouter::new(&mesh), &cfg, &traffic, &lanes1());
+    let b = run_simulation_with_lanes(
         &FaultedMeshRouter::new(&mesh, FaultPlan::none(mesh.network())).unwrap(),
         &cfg,
         &traffic,
         &lanes1(),
-        EngineKind::FastForward,
     );
     assert_sim_results_identical(&a, &b, "mesh-4x4 empty plan");
 }
@@ -119,7 +102,7 @@ fn engines_agree_under_random_link_knockouts() {
 fn dead_leaf_switch_degrades_gracefully_with_unroutable_accounting() {
     // Kill the leaf switch PE 3 attaches to: its processors lose network
     // access entirely — traffic they source and traffic addressed to them
-    // is unroutable. The run must terminate on all three cores with
+    // is unroutable. The run must terminate on both cores with
     // identical results, count the drops, and still deliver the rest.
     let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
     let net = tree.network();
@@ -260,7 +243,7 @@ mod random_plans {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// All three cores agree field-for-field under arbitrary seeded
+        /// Both cores agree field-for-field under arbitrary seeded
         /// knockouts — including plans that sever processor pairs.
         #[test]
         fn engines_agree_under_arbitrary_plans(

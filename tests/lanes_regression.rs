@@ -184,7 +184,7 @@ fn single_lane_reference_engine_matches_its_pin_without_fast_forward() {
     let router16 = BftRouter::new(&tree16);
     let t16 = TrafficConfig::from_flit_load(0.08, 32).unwrap();
     let mut engine = Engine::with_lanes(&router16, &pin_cfg(17), &t16, &LaneConfig::single());
-    engine.set_fast_forward(false);
+    engine.set_engine_kind(EngineKind::Reference);
     let r = engine.run();
     check(
         &Pin {
@@ -308,7 +308,7 @@ fn fast_forward_stays_bit_exact_with_multiple_lanes() {
                 let traffic = TrafficConfig::from_flit_load(load, 16).unwrap();
                 let fast = run_simulation_with_lanes(&router, &cfg, &traffic, &lc);
                 let mut engine = Engine::with_lanes(&router, &cfg, &traffic, &lc);
-                engine.set_fast_forward(false);
+                engine.set_engine_kind(EngineKind::Reference);
                 let reference = engine.run();
                 assert_sim_results_identical(
                     &fast,
