@@ -4,12 +4,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use wormsim_core::bft::BftModel;
-use wormsim_core::flows::{model_from_flows, FlowModelSweep};
-use wormsim_core::framework::{bft_spec, ring_spec, WarmStart};
+use wormsim_core::framework::bft_spec;
 use wormsim_core::hypercube::hypercube_spec;
 use wormsim_core::options::ModelOptions;
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
-use wormsim_workload::{DestinationPattern, FlowVector};
 
 fn bench_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("model");
@@ -50,69 +48,5 @@ fn bench_model(c: &mut Criterion) {
     group.finish();
 }
 
-/// Warm-started sweeps vs cold restarts: the 20-point cyclic ring sweep
-/// (the fixed-point iteration battleground — trees are DAGs and never
-/// iterate) and the workload flow-model sweep (spec built once, rates
-/// rescaled, solver warm-started).
-fn bench_warm_sweeps(c: &mut Criterion) {
-    let mut group = c.benchmark_group("warm_sweep");
-    group.sample_size(20);
-    let opts = ModelOptions::paper();
-    let loads: Vec<f64> = (1..=20).map(|i| 0.0001 * f64::from(i)).collect();
-
-    group.bench_function("ring16_20pt_cold", |b| {
-        b.iter(|| {
-            let mut iters = 0usize;
-            for &l in &loads {
-                iters += ring_spec(16, 16.0, black_box(l))
-                    .solve(&opts)
-                    .expect("below knee")
-                    .iterations;
-            }
-            iters
-        })
-    });
-    group.bench_function("ring16_20pt_warm", |b| {
-        b.iter(|| {
-            let mut warm = WarmStart::new();
-            for &l in &loads {
-                ring_spec(16, 16.0, black_box(l))
-                    .solve_warm(&opts, &mut warm)
-                    .expect("below knee");
-            }
-            warm.total_iterations()
-        })
-    });
-
-    let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
-    let flows = FlowVector::build(&tree, &DestinationPattern::hot_spot()).unwrap();
-    let flow_loads = [0.0002, 0.0005, 0.0008, 0.0011, 0.0014];
-    group.bench_function("flow_sweep_rebuild_5pt", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &l in &flow_loads {
-                acc += model_from_flows(tree.network(), &flows, 16.0, black_box(l))
-                    .expect("builds")
-                    .latency(&opts)
-                    .expect("stable")
-                    .total;
-            }
-            acc
-        })
-    });
-    group.bench_function("flow_sweep_warm_5pt", |b| {
-        b.iter(|| {
-            let mut sweep = FlowModelSweep::new(tree.network(), &flows, 16.0).expect("builds");
-            let mut acc = 0.0;
-            for &l in &flow_loads {
-                acc += sweep.latency_at(black_box(l), &opts).expect("stable").total;
-            }
-            acc
-        })
-    });
-
-    group.finish();
-}
-
-criterion_group!(benches, bench_model, bench_warm_sweeps);
+criterion_group!(benches, bench_model);
 criterion_main!(benches);

@@ -8,9 +8,6 @@
 //! * `simulator` — flit-level engine throughput (cycles/second) across
 //!   machine sizes and loads, plus the `fast_forward` group comparing the
 //!   idle-span-skipping engine against the reference cycle-stepped one.
-//! * `model_eval` also hosts the `warm_sweep` group: cold-restarted vs
-//!   warm-started framework load sweeps (iteration counts and wall
-//!   clock), and rebuild-per-point vs rate-rescaled flow-model sweeps.
 //! * `figures` — one benchmark per reproduced artifact (Figure 2, a Figure
 //!   3 point, a throughput bracket probe, a channel-audit run), so the cost
 //!   of regenerating each paper artifact is tracked over time.

@@ -51,36 +51,19 @@ impl EnumeratedModel {
         self.breakdown_from(&sol, options)
     }
 
-    /// [`Self::latency`] with warm-started sweep state: consecutive calls
-    /// across a load sweep seed each solve with the previous converged
-    /// vector (see [`crate::framework::WarmStart`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::latency`].
-    pub fn latency_warm(
-        &self,
-        options: &ModelOptions,
-        warm: &mut crate::framework::WarmStart,
-    ) -> Result<LatencyBreakdown> {
-        let sol = self.spec.solve_warm(options, warm)?;
-        self.breakdown_from(&sol, options)
-    }
-
-    /// Saturation-aware [`Self::latency_warm`]: total over every load,
-    /// returning a typed [`SolveOutcome`] instead of erroring on
-    /// saturation or iteration failure (see
+    /// Saturation-aware [`Self::latency`]: total over every load,
+    /// returning a typed [`wormsim_guard::SolveOutcome`] instead of
+    /// erroring on saturation (see
     /// [`crate::framework::NetworkSpec::solve_outcome`]).
     ///
     /// # Errors
     ///
     /// Genuine usage errors only (malformed spec, invalid options).
-    pub fn latency_outcome_warm(
+    pub fn latency_outcome(
         &self,
         options: &ModelOptions,
-        warm: &mut crate::framework::WarmStart,
     ) -> Result<wormsim_guard::SolveOutcome<LatencyBreakdown>> {
-        match self.spec.solve_outcome_warm(options, warm)? {
+        match self.spec.solve_outcome(options)? {
             wormsim_guard::SolveOutcome::Converged(sol) => Ok(
                 wormsim_guard::SolveOutcome::Converged(self.breakdown_from(&sol, options)?),
             ),
@@ -110,7 +93,7 @@ impl EnumeratedModel {
             // injection hold is the multiplex-stretched residence.
             let x = sol.service_times[inj.0];
             w_sum += sol.waiting_times[inj.0];
-            x_sum += self.spec.lane_residence_for(inj.0, x, options)?;
+            x_sum += self.spec.lane_residence(inj.0, x, options)?;
         }
         let n = self.injections.len() as f64;
         let (w, x) = (w_sum / n, x_sum / n);

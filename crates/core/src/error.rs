@@ -18,18 +18,6 @@ pub enum ModelError {
     Spec(String),
     /// The saturation search could not bracket a solution.
     Saturation(String),
-    /// A cyclic solve's fixed-point iteration failed: the budget expired
-    /// (`diverged: false`) or the divergence watchdog fired
-    /// (`diverged: true` — the signature of a load past the knee).
-    NoConvergence {
-        /// Map evaluations performed.
-        iterations: usize,
-        /// Final residual (∞-norm step size).
-        residual: f64,
-        /// Whether the failure was a detected divergence rather than an
-        /// exhausted budget.
-        diverged: bool,
-    },
     /// Knee bracketing ([`crate::framework::NetworkSpec::find_knee`])
     /// could not produce a bracket.
     Knee(wormsim_guard::KneeError),
@@ -58,12 +46,11 @@ impl ModelError {
 
     /// True when a queueing computation rejected a value the *solve
     /// itself* produced — a negative or non-finite service time, wait, or
-    /// probability arising mid-iteration. On a spec that passed
+    /// probability. On a spec that passed
     /// [`crate::framework::NetworkSpec::validate`] these are not usage
-    /// errors but the numerical signature of a load past the knee (the
-    /// iterate left the model's physical domain), so the saturation-aware
-    /// entry points treat them as retryable and, if they survive the
-    /// whole escalation ladder, as saturation.
+    /// errors but the numerical signature of a load past the knee (a
+    /// service time left the model's physical domain), so the
+    /// saturation-aware entry points report them as saturation.
     #[must_use]
     pub fn is_domain_excursion(&self) -> bool {
         matches!(
@@ -88,21 +75,6 @@ impl fmt::Display for ModelError {
             }
             ModelError::Spec(msg) => write!(f, "invalid network specification: {msg}"),
             ModelError::Saturation(msg) => write!(f, "saturation search failed: {msg}"),
-            ModelError::NoConvergence {
-                iterations,
-                residual,
-                diverged,
-            } => {
-                let how = if *diverged {
-                    "diverged"
-                } else {
-                    "did not converge"
-                };
-                write!(
-                    f,
-                    "fixed point {how} after {iterations} iterations (residual {residual:e})"
-                )
-            }
             ModelError::Knee(e) => write!(f, "knee bracketing failed: {e}"),
         }
     }
@@ -152,20 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn nonconvergence_display_distinguishes_divergence() {
-        let budget = ModelError::NoConvergence {
-            iterations: 20_000,
-            residual: 1e-9,
-            diverged: false,
-        };
-        assert!(budget.to_string().contains("did not converge"));
-        assert!(!budget.is_saturation());
-        let diverged = ModelError::NoConvergence {
-            iterations: 41,
-            residual: 1e9,
-            diverged: true,
-        };
-        assert!(diverged.to_string().contains("diverged"));
+    fn knee_display_names_the_bracketer() {
         assert!(
             ModelError::Knee(wormsim_guard::KneeError::InfeasibleAtFloor { load: 0.01 })
                 .to_string()

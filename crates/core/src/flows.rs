@@ -23,7 +23,7 @@
 use crate::bft::LatencyBreakdown;
 use crate::enumerate::EnumeratedModel;
 use crate::error::ModelError;
-use crate::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec, WarmStart};
+use crate::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec};
 use crate::Result;
 use wormsim_topology::graph::ChannelNetwork;
 use wormsim_topology::ids::ChannelId;
@@ -198,19 +198,39 @@ pub fn model_from_flows_with_servers(
 /// A load sweep over one flow vector's per-station model, built once.
 ///
 /// [`model_from_flows`] assembles the whole class spec for a single
-/// `lambda0`; sweeping a figure re-did that work — and a cold fixed-point
-/// solve — at every point. This helper exploits that the spec's *shape*
-/// (classes, forwards, probabilities) is load-independent: only the class
-/// rates scale linearly with `lambda0`. It builds the model once at unit
-/// rate, rescales the rates in place per point, and threads a
-/// [`WarmStart`] so cyclic solves seed from the previous load's converged
-/// vector.
+/// `lambda0`; sweeping a figure re-did that work at every point. This
+/// helper exploits that the spec's *shape* (classes, forwards,
+/// probabilities) is load-independent: only the class rates scale linearly
+/// with `lambda0`. It builds the model once at unit rate and rescales the
+/// rates in place per point.
 #[derive(Debug, Clone)]
 pub struct FlowModelSweep {
     model: EnumeratedModel,
     /// Per-class arrival rate at `lambda0 = 1`.
     unit_lambdas: Vec<f64>,
     warm: WarmStart,
+}
+
+/// Solve counter of a [`FlowModelSweep`]: how many of its load points
+/// converged.
+#[derive(Debug, Clone, Default)]
+pub struct WarmStart {
+    solves: usize,
+}
+
+impl WarmStart {
+    /// Number of converged solves through the sweep.
+    #[must_use]
+    pub fn solves(&self) -> usize {
+        self.solves
+    }
+
+    /// Always 0: the acyclic solve resolves in one pass and never
+    /// iterates. Kept so that reports of iteration counts still read it.
+    #[must_use]
+    pub fn total_iterations(&self) -> usize {
+        0
+    }
 }
 
 impl FlowModelSweep {
@@ -241,12 +261,12 @@ impl FlowModelSweep {
         Ok(Self {
             model,
             unit_lambdas,
-            warm: WarmStart::new(),
+            warm: WarmStart::default(),
         })
     }
 
     /// Latency at per-PE message rate `lambda0` (Eq. 2 averaged over the
-    /// per-PE injection stations), warm-starting from the previous call.
+    /// per-PE injection stations).
     ///
     /// # Errors
     ///
@@ -263,13 +283,14 @@ impl FlowModelSweep {
         for (class, unit) in self.model.spec.classes.iter_mut().zip(&self.unit_lambdas) {
             class.lambda = unit * lambda0;
         }
-        self.model.latency_warm(options, &mut self.warm)
+        let latency = self.model.latency(options)?;
+        self.warm.solves += 1;
+        Ok(latency)
     }
 
     /// Saturation-aware [`Self::latency_at`], total over every load:
     /// sub-knee loads return `Converged(latency)`, past-knee loads return
-    /// `Saturated` *as data* (after the full escalation ladder has tried
-    /// to rescue the solve) — the sweep records the point and continues
+    /// `Saturated` *as data* — the sweep records the point and continues
     /// instead of dying.
     ///
     /// # Errors
@@ -287,7 +308,11 @@ impl FlowModelSweep {
         for (class, unit) in self.model.spec.classes.iter_mut().zip(&self.unit_lambdas) {
             class.lambda = unit * lambda0;
         }
-        self.model.latency_outcome_warm(options, &mut self.warm)
+        let outcome = self.model.latency_outcome(options)?;
+        if outcome.is_converged() {
+            self.warm.solves += 1;
+        }
+        Ok(outcome)
     }
 
     /// Brackets this workload's saturation knee in per-PE message rate
@@ -316,7 +341,7 @@ impl FlowModelSweep {
         &self.model
     }
 
-    /// Accumulated fixed-point iteration statistics across the sweep.
+    /// Solve statistics accumulated across the sweep.
     #[must_use]
     pub fn warm_start(&self) -> &WarmStart {
         &self.warm
@@ -327,8 +352,8 @@ impl FlowModelSweep {
 /// the model at `lambda0` with the paper's options, returning the latency
 /// breakdown. The long-form API ([`FlowVector::build`] +
 /// [`model_from_flows`]) amortizes the flow computation across a load
-/// sweep ([`FlowModelSweep`] also amortizes the spec assembly and warm
-/// starts the solver); this one-shot form suits single operating points.
+/// sweep ([`FlowModelSweep`] also amortizes the spec assembly); this
+/// one-shot form suits single operating points.
 ///
 /// # Errors
 ///
@@ -490,8 +515,7 @@ mod tests {
     #[test]
     fn flow_model_sweep_matches_per_point_builds() {
         // Building once + rescaling rates must be indistinguishable from
-        // rebuilding the model at every load (the spec is a DAG here, so
-        // warm starting cannot even perturb iteration paths).
+        // rebuilding the model at every load.
         let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
         let flows = FlowVector::build(&tree, &DestinationPattern::hot_spot()).unwrap();
         let mut sweep = FlowModelSweep::new(tree.network(), &flows, 16.0).unwrap();
@@ -622,7 +646,7 @@ mod tests {
             }
         }
         // Converged outcomes agree bit-for-bit with the erroring API on
-        // a fresh sweep (same warm-start history).
+        // a fresh sweep.
         let mut a = FlowModelSweep::new(tree.network(), &flows, 16.0).unwrap();
         let mut b = FlowModelSweep::new(tree.network(), &flows, 16.0).unwrap();
         for lambda0 in [0.0005, 0.001, 0.002] {

@@ -28,66 +28,19 @@
 //! ```
 //!
 //! with `W_j` the M/G/m wait of station `j` at its combined arrival rate
-//! (Eqs. 6/8) and `P(i|j)` the blocking correction (Eq. 10). The class
-//! dependency graph is solved in reverse topological order when it is a
-//! DAG (always the case for tree-ups/downs and dimension-ordered cubes);
-//! otherwise a damped fixed-point iteration is used.
+//! (Eqs. 6/8) and `P(i|j)` the blocking correction (Eq. 10). The recursion
+//! is well founded only on an acyclic class dependency graph — the case for
+//! every routing modeled here: fat-tree up*/down* (pristine or faulted),
+//! hypercube e-cube and mesh dimension order. So acyclicity is part of a
+//! valid spec ([`NetworkSpec::validate`] rejects a cycle), and a solve is
+//! one pass over the classes in reverse topological order.
 
 use crate::error::ModelError;
 use crate::options::ModelOptions;
 use crate::Result;
-use wormsim_guard::{bracket_knee, escalate, Knee, KneeConfig, LadderOutcome, Rung, SolveOutcome};
-use wormsim_obs::{LadderSample, ModelTelemetry, OutcomeKind, SolverTrace, StationBreakdown};
-use wormsim_queueing::solver::{
-    fixed_point_accelerated_traced, fixed_point_traced, AccelerationConfig, FixedPointConfig,
-};
-use wormsim_queueing::{mg1, mgm, QueueingError};
-
-/// Reusable warm-start state for solving a *family* of related specs — a
-/// load sweep, a saturation bisection, a β sweep — whose solutions vary
-/// continuously with the swept parameter.
-///
-/// Passing the same `WarmStart` to consecutive [`NetworkSpec::solve_warm`]
-/// calls seeds each cyclic solve with the previous converged service-time
-/// vector and engages the accelerated iteration
-/// ([`fixed_point_accelerated`]: adaptive damping plus verified Aitken
-/// Δ²), typically cutting fixed-point iterations by well over the 30%
-/// sweep target on interior points while converging to the same vectors
-/// (same map, same tolerance). DAG specs resolve in one backward pass
-/// either way; the cache still updates so a mixed family stays seeded.
-#[derive(Debug, Clone, Default)]
-pub struct WarmStart {
-    guess: Option<Vec<f64>>,
-    total_iterations: usize,
-    solves: usize,
-}
-
-impl WarmStart {
-    /// Fresh, unseeded state.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total fixed-point iterations (map evaluations) across all solves
-    /// fed through this state — the benchmark currency of warm starting.
-    #[must_use]
-    pub fn total_iterations(&self) -> usize {
-        self.total_iterations
-    }
-
-    /// Number of solves fed through this state.
-    #[must_use]
-    pub fn solves(&self) -> usize {
-        self.solves
-    }
-
-    /// The last converged service-time vector, if any solve succeeded.
-    #[must_use]
-    pub fn last_values(&self) -> Option<&[f64]> {
-        self.guess.as_deref()
-    }
-}
+use wormsim_guard::{bracket_knee, Knee, KneeConfig, SolveOutcome};
+use wormsim_obs::StationBreakdown;
+use wormsim_queueing::{mg1, mgm};
 
 /// Index of a channel class within a [`NetworkSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,63 +136,24 @@ pub struct Solution {
     pub service_times: Vec<f64>,
     /// Station-level mean waiting time `W` per class.
     pub waiting_times: Vec<f64>,
-    /// Fixed-point iterations used (0 when the class graph was a DAG).
-    pub iterations: usize,
-}
-
-/// How one solve attempt runs its cyclic fixed point — the knob the
-/// escalation ladder turns between rungs.
-#[derive(Debug, Clone, Copy)]
-struct SolveProfile {
-    /// Damping factor θ of the Picard step `x ← (1−θ)x + θf(x)`.
-    damping: f64,
-    /// Use the Aitken-accelerated adaptive-damping solver.
-    accelerated: bool,
-    /// Ignore any warm-start guess and seed from `x̄ = s/f`.
-    cold_seed: bool,
-}
-
-impl SolveProfile {
-    /// The profile for one [`Rung`] of the escalation ladder.
-    ///
-    /// * `Plain` — the historical configuration: θ = 0.5, accelerated iff
-    ///   warm-started (identical to [`NetworkSpec::solve`] /
-    ///   [`NetworkSpec::solve_warm`]).
-    /// * `Damped` — θ = 0.1 plain iteration: slow, but contracts where
-    ///   the θ = 0.5 map oscillates.
-    /// * `AcceleratedRestart` — Aitken Δ² from a cold seed, able to land
-    ///   on weakly-repelling fixed points and to escape a poisoned warm
-    ///   guess.
-    fn for_rung(rung: Rung, warm_started: bool) -> Self {
-        match rung {
-            Rung::Plain => SolveProfile {
-                damping: 0.5,
-                accelerated: warm_started,
-                cold_seed: false,
-            },
-            Rung::Damped => SolveProfile {
-                damping: 0.1,
-                accelerated: false,
-                cold_seed: false,
-            },
-            Rung::AcceleratedRestart => SolveProfile {
-                damping: 0.5,
-                accelerated: true,
-                cold_seed: true,
-            },
-        }
-    }
 }
 
 impl NetworkSpec {
     /// Checks internal consistency: rates and probabilities in range,
     /// forwarding targets valid, probabilities normalized, injection class
-    /// single-server.
+    /// single-server, class dependency graph acyclic.
     ///
     /// # Errors
     ///
-    /// [`ModelError::Spec`] describing the first inconsistency.
+    /// [`ModelError::Spec`] describing the first inconsistency
+    /// (`"cyclic class graph"` for a dependency cycle).
     pub fn validate(&self) -> Result<()> {
+        self.checked_order().map(|_| ())
+    }
+
+    /// [`Self::validate`]'s checks, returning the reverse-topological
+    /// order of the class dependency graph that a solve walks.
+    fn checked_order(&self) -> Result<Vec<usize>> {
         if !(self.worm_flits.is_finite() && self.worm_flits > 0.0) {
             return Err(ModelError::Spec(format!(
                 "invalid worm length {}",
@@ -333,7 +247,8 @@ impl NetworkSpec {
                 }
             }
         }
-        Ok(())
+        self.reverse_topological_order()
+            .ok_or_else(|| ModelError::Spec("cyclic class graph".into()))
     }
 
     /// Station-level waiting time for class `j` at service time `x`,
@@ -379,14 +294,13 @@ impl NetworkSpec {
     /// its transmission component stretched by flit multiplexing across
     /// the channel's `L` lanes (`wormsim_queueing::lanes`). Identity —
     /// bit-for-bit — at `L = 1`.
-    fn lane_residence(&self, j: usize, x: f64, options: &ModelOptions) -> Result<f64> {
+    pub(crate) fn lane_residence(&self, j: usize, x: f64, options: &ModelOptions) -> Result<f64> {
         if options.lanes == 1 {
             return Ok(x);
         }
         let class = &self.classes[j];
-        // Terminal service can sit exactly at the s/f floor; interior
-        // iterates may transiently dip below it from damping, so clamp the
-        // transmission decomposition rather than erroring mid-iteration.
+        // A terminal class may declare a service below the s/f floor;
+        // clamp the transmission decomposition there rather than erroring.
         let x_checked = x.max(self.worm_flits);
         wormsim_queueing::lanes::shared_link_residence(
             options.lanes,
@@ -395,17 +309,6 @@ impl NetworkSpec {
             class.lambda,
         )
         .map_err(|e| ModelError::at(class.name.clone(), e))
-    }
-
-    /// Crate-visible [`Self::lane_residence`] (used by the enumerated
-    /// model's per-injection breakdown).
-    pub(crate) fn lane_residence_for(
-        &self,
-        j: usize,
-        x: f64,
-        options: &ModelOptions,
-    ) -> Result<f64> {
-        self.lane_residence(j, x, options)
     }
 
     /// Blocking factor `P(i|j)` of Eq. 10 for a worm from class `i`
@@ -429,29 +332,6 @@ impl NetworkSpec {
             return 1.0;
         }
         (1.0 - lambda_in / lambda_out * r_eff).clamp(0.0, 1.0)
-    }
-
-    /// Eq. 11 for class `i` given current service-time estimates `x`,
-    /// with the multi-lane extension: downstream service enters as the
-    /// lane residence (multiplex-stretched transmissions) and the wait is
-    /// the M/G/(m·L) lane-slot wait of [`Self::station_wait`], still
-    /// damped by Eq. 10's blocking probability. At `lanes = 1` every term
-    /// reduces to the identity and this is the paper's Eq. 11 unchanged.
-    fn service_equation(&self, i: usize, x: &[f64], options: &ModelOptions) -> Result<f64> {
-        match &self.classes[i].body {
-            ClassBody::Terminal { service_time } => Ok(*service_time),
-            ClassBody::Interior { forwards } => {
-                let mut sum = 0.0;
-                for f in forwards {
-                    let j = f.to.0;
-                    let r = self.lane_residence(j, x[j], options)?;
-                    let w = self.station_wait(j, r, options)?;
-                    let p = self.blocking(i, j, f.blocking_prob, options);
-                    sum += f64::from(f.multiplicity) * f.prob_each * (r + p * w);
-                }
-                Ok(sum)
-            }
-        }
     }
 
     /// Reverse-topological order of the class dependency graph (edges
@@ -488,61 +368,75 @@ impl NetworkSpec {
         (order.len() == n).then_some(order)
     }
 
-    /// Solves for every class's service and waiting time.
+    /// Solves for every class's service and waiting time: Eq. 11 resolved
+    /// in one pass over the classes in reverse topological order.
+    ///
+    /// With `L > 1` lanes, downstream service enters Eq. 11 as the lane
+    /// residence (multiplex-stretched transmissions) and the wait is the
+    /// M/G/(m·L) lane-slot wait of [`Self::station_wait`], still damped by
+    /// Eq. 10's blocking probability. At `lanes = 1` every term reduces to
+    /// the identity and this is the paper's Eq. 11 unchanged.
     ///
     /// # Errors
     ///
-    /// Spec errors, saturation at any station, or fixed-point divergence
-    /// (cyclic graphs near saturation).
+    /// Spec errors (including a cyclic class graph), or saturation at any
+    /// station.
     pub fn solve(&self, options: &ModelOptions) -> Result<Solution> {
-        self.solve_inner(options, None, None)
+        let order = self.checked_order()?;
+        if options.lanes == 0 {
+            return Err(ModelError::Spec(
+                "lane count must be at least 1 (ModelOptions::lanes)".into(),
+            ));
+        }
+        let n = self.classes.len();
+        let mut x = vec![self.worm_flits; n];
+        // Each class's (lane residence, station wait), filled at its first
+        // use: every class is final before anything forwards into it, so
+        // later forwards and the `W` vector reuse the pair. Filling lazily
+        // keeps the evaluation order, and so the first error, of
+        // recomputing it at every use.
+        let mut memo: Vec<Option<(f64, f64)>> = vec![None; n];
+        for &i in &order {
+            x[i] = match &self.classes[i].body {
+                ClassBody::Terminal { service_time } => *service_time,
+                ClassBody::Interior { forwards } => {
+                    let mut sum = 0.0;
+                    for f in forwards {
+                        let j = f.to.0;
+                        let (r, w) = self.residence_and_wait(j, x[j], &mut memo[j], options)?;
+                        let p = self.blocking(i, j, f.blocking_prob, options);
+                        sum += f64::from(f.multiplicity) * f.prob_each * (r + p * w);
+                    }
+                    sum
+                }
+            };
+        }
+        let mut w = vec![0.0; n];
+        for i in 0..n {
+            w[i] = self.residence_and_wait(i, x[i], &mut memo[i], options)?.1;
+        }
+        Ok(Solution {
+            service_times: x,
+            waiting_times: w,
+        })
     }
 
-    /// Like [`Self::solve`], but filling `telemetry` with the solver's
-    /// convergence trace (per-evaluation residual, damping, Aitken
-    /// outcomes — empty when the class graph is a DAG and no iteration
-    /// runs) and the per-station breakdown of the solution. The solved
-    /// values are bit-for-bit those of [`Self::solve`]: tracing only
-    /// records, it never alters the iteration.
-    ///
-    /// Any previous contents of `telemetry` are replaced.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve`]. On error the telemetry holds whatever
-    /// trace accumulated before the failure and no station rows.
-    pub fn solve_traced(
+    /// Class `j`'s lane residence at service time `x` and its station wait
+    /// at that residence, computed once and then read from `slot`.
+    fn residence_and_wait(
         &self,
+        j: usize,
+        x: f64,
+        slot: &mut Option<(f64, f64)>,
         options: &ModelOptions,
-        telemetry: &mut ModelTelemetry,
-    ) -> Result<Solution> {
-        telemetry.solver = SolverTrace::new();
-        telemetry.stations.clear();
-        let sol = self.solve_inner(options, None, Some(&mut telemetry.solver))?;
-        telemetry.stations = self.station_breakdown(&sol, options)?;
-        Ok(sol)
-    }
-
-    /// [`Self::solve_warm`] with telemetry: the accelerated, warm-seeded
-    /// iteration runs with its convergence trace captured (this is the
-    /// variant that exercises Aitken Δ² and adaptive damping), and the
-    /// per-station breakdown is filled on success. Bit-for-bit identical
-    /// values to [`Self::solve_warm`] given the same prior state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_warm`].
-    pub fn solve_warm_traced(
-        &self,
-        options: &ModelOptions,
-        warm: &mut WarmStart,
-        telemetry: &mut ModelTelemetry,
-    ) -> Result<Solution> {
-        telemetry.solver = SolverTrace::new();
-        telemetry.stations.clear();
-        let sol = self.solve_inner(options, Some(warm), Some(&mut telemetry.solver))?;
-        telemetry.stations = self.station_breakdown(&sol, options)?;
-        Ok(sol)
+    ) -> Result<(f64, f64)> {
+        if let Some(rw) = *slot {
+            return Ok(rw);
+        }
+        let r = self.lane_residence(j, x, options)?;
+        let rw = (r, self.station_wait(j, r, options)?);
+        *slot = Some(rw);
+        Ok(rw)
     }
 
     /// Per-station breakdown of a solved spec: for every class, the
@@ -596,165 +490,31 @@ impl NetworkSpec {
         Ok(rows)
     }
 
-    /// Like [`Self::solve`], but threading sweep state: the cyclic solve
-    /// is seeded with `warm`'s previous converged vector and runs the
-    /// accelerated iteration; on success the state is refreshed for the
-    /// next sweep point. See [`WarmStart`].
+    /// Saturation-aware solve, total over load ∈ [0, ∞): a load past the
+    /// knee — a station at `ρ ≥ 1`, or a kernel pushed out of its domain
+    /// on a valid spec — comes back as [`SolveOutcome::Saturated`] instead
+    /// of an error.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::solve`] (a failed point leaves `warm` untouched, so
-    /// the next point still seeds from the last convergent one).
-    pub fn solve_warm(&self, options: &ModelOptions, warm: &mut WarmStart) -> Result<Solution> {
-        self.solve_inner(options, Some(warm), None)
-    }
-
-    /// Saturation-aware solve, total over load ∈ [0, ∞): never errors on
-    /// saturation or iteration failure, returning a typed
-    /// [`SolveOutcome`] instead. A failed attempt is retried through the
-    /// escalation ladder (plain → heavy damping → accelerated restart)
-    /// before the point is declared `Saturated` (station `ρ ≥ 1` or
-    /// detected divergence — definitive) or `NoConvergence` (budget
-    /// expired at every rung — report, don't guess).
-    ///
-    /// # Errors
-    ///
-    /// Only genuine usage errors: malformed specs, invalid options. The
-    /// load being too high is *data* ([`SolveOutcome::Saturated`]), not
-    /// an error.
+    /// Only genuine usage errors: malformed specs (including cyclic class
+    /// graphs), invalid options. The load being too high is *data*
+    /// ([`SolveOutcome::Saturated`]), not an error.
     pub fn solve_outcome(&self, options: &ModelOptions) -> Result<SolveOutcome<Solution>> {
-        self.solve_outcome_inner(options, None, None)
-    }
-
-    /// [`Self::solve_outcome`] with warm-started sweep state: the sweep
-    /// entry point that degrades gracefully. A non-converged point
-    /// leaves `warm` untouched, so the next sweep point still seeds from
-    /// the last convergent one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_outcome`].
-    pub fn solve_outcome_warm(
-        &self,
-        options: &ModelOptions,
-        warm: &mut WarmStart,
-    ) -> Result<SolveOutcome<Solution>> {
-        self.solve_outcome_inner(options, Some(warm), None)
-    }
-
-    /// [`Self::solve_outcome`] with telemetry: the solver trace of the
-    /// *final* ladder attempt, one [`LadderSample`] per rung tried, and
-    /// the outcome classification land in `telemetry`; the station
-    /// breakdown is filled when the solve converged.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_outcome`]. On error the telemetry holds the
-    /// ladder attempts and trace accumulated before the failure.
-    pub fn solve_outcome_traced(
-        &self,
-        options: &ModelOptions,
-        telemetry: &mut ModelTelemetry,
-    ) -> Result<SolveOutcome<Solution>> {
-        self.solve_outcome_inner(options, None, Some(telemetry))
-    }
-
-    fn solve_outcome_inner(
-        &self,
-        options: &ModelOptions,
-        mut warm: Option<&mut WarmStart>,
-        mut telemetry: Option<&mut ModelTelemetry>,
-    ) -> Result<SolveOutcome<Solution>> {
-        if let Some(t) = telemetry.as_deref_mut() {
-            t.reset();
-        }
-        let warm_started = warm.is_some();
-        let mut ladder: Vec<LadderSample> = Vec::new();
-        let out = escalate(
-            |rung| {
-                let profile = SolveProfile::for_rung(rung, warm_started);
-                // Each attempt overwrites the trace, leaving the decisive
-                // attempt's trace in the telemetry.
-                let mut trace = telemetry.as_deref_mut().map(|t| {
-                    t.solver = SolverTrace::new();
-                    &mut t.solver
-                });
-                let res = self.solve_profiled(options, warm.as_deref_mut(), trace.take(), profile);
-                ladder.push(LadderSample {
-                    rung: rung.label().to_string(),
-                    succeeded: res.is_ok(),
-                    detail: match &res {
-                        Ok(_) => "converged".to_string(),
-                        Err(e) => e.to_string(),
-                    },
-                });
-                res
-            },
-            // Iteration failures and mid-solve domain excursions are
-            // worth a stronger rung; `ρ ≥ 1` and spec errors are not.
-            |e| matches!(e, ModelError::NoConvergence { .. }) || e.is_domain_excursion(),
-        );
-        let saturated = (
-            SolveOutcome::Saturated {
+        match self.solve(options) {
+            Ok(sol) => Ok(SolveOutcome::Converged(sol)),
+            Err(e) if e.is_saturation() || e.is_domain_excursion() => Ok(SolveOutcome::Saturated {
                 knee_estimate: None,
-            },
-            OutcomeKind::Saturated,
-        );
-        let (outcome, kind) = match out {
-            LadderOutcome::Solved { value, .. } => {
-                (SolveOutcome::Converged(value), OutcomeKind::Converged)
-            }
-            LadderOutcome::Aborted { error, .. } if error.is_saturation() => saturated,
-            LadderOutcome::Aborted { error, .. } => {
-                if let Some(t) = telemetry.as_deref_mut() {
-                    t.ladder = ladder;
-                }
-                return Err(error);
-            }
-            LadderOutcome::Exhausted { last_error, .. } => match last_error {
-                // Divergence surviving the whole ladder is the fixed
-                // point running away — past the knee. Likewise a domain
-                // excursion (negative/non-finite iterate) on a validated
-                // spec that not even the restart rung avoided.
-                ModelError::NoConvergence { diverged: true, .. } => saturated,
-                e if e.is_domain_excursion() => saturated,
-                ModelError::NoConvergence {
-                    iterations,
-                    residual,
-                    ..
-                } => (
-                    SolveOutcome::NoConvergence {
-                        iterations,
-                        residual,
-                    },
-                    OutcomeKind::NoConvergence,
-                ),
-                // The retry policy admits nothing else; stay total
-                // regardless.
-                e => {
-                    if let Some(t) = telemetry.as_deref_mut() {
-                        t.ladder = ladder;
-                    }
-                    return Err(e);
-                }
-            },
-        };
-        if let Some(t) = telemetry {
-            t.ladder = ladder;
-            t.outcome = Some(kind);
-            if let SolveOutcome::Converged(sol) = &outcome {
-                t.stations = self.station_breakdown(sol, options)?;
-            }
+            }),
+            Err(e) => Err(e),
         }
-        Ok(outcome)
     }
 
     /// Brackets the saturation knee of this spec as a **multiplier on
     /// its configured arrival rates**: `find_knee` probes copies of the
     /// spec with every `lambda` scaled by `t`, growing then bisecting on
-    /// the smallest `t` whose solve no longer converges (per the full
-    /// escalation ladder). Probes share one [`WarmStart`], so the
-    /// bisection rides the previous feasible point's solution.
+    /// the smallest `t` whose [`Self::solve_outcome`] is no longer
+    /// converged.
     ///
     /// For a spec built at unit rate (e.g.
     /// [`crate::flows::FlowModelSweep`]'s), the multiplier *is* the
@@ -765,19 +525,17 @@ impl NetworkSpec {
     ///
     /// Spec/usage errors as [`Self::solve_outcome`];
     /// [`ModelError::Knee`] when the spec is infeasible at
-    /// `cfg.initial` or still feasible at `cfg.max` (e.g. a DAG model
-    /// with no cyclic saturation inside the probed range).
+    /// `cfg.initial` or still feasible at `cfg.max`.
     pub fn find_knee(&self, options: &ModelOptions, cfg: &KneeConfig) -> Result<Knee> {
         self.validate()?;
         let mut scaled = self.clone();
         let base: Vec<f64> = self.classes.iter().map(|c| c.lambda).collect();
-        let mut warm = WarmStart::new();
         let mut usage_err: Option<ModelError> = None;
         let bracket = bracket_knee(cfg, |t| {
             for (class, b) in scaled.classes.iter_mut().zip(&base) {
                 class.lambda = b * t;
             }
-            match scaled.solve_outcome_warm(options, &mut warm) {
+            match scaled.solve_outcome(options) {
                 Ok(outcome) => outcome.is_converged(),
                 Err(e) => {
                     // A usage error aborts the probe sequence; surface
@@ -793,134 +551,6 @@ impl NetworkSpec {
         bracket.map_err(ModelError::Knee)
     }
 
-    fn solve_inner(
-        &self,
-        options: &ModelOptions,
-        warm: Option<&mut WarmStart>,
-        trace: Option<&mut SolverTrace>,
-    ) -> Result<Solution> {
-        // The historical profile: standard damping, accelerated iff a
-        // warm start is threaded through. Bit-for-bit the pre-ladder
-        // behaviour.
-        let accelerated = warm.is_some();
-        self.solve_profiled(
-            options,
-            warm,
-            trace,
-            SolveProfile {
-                damping: 0.5,
-                accelerated,
-                cold_seed: false,
-            },
-        )
-    }
-
-    fn solve_profiled(
-        &self,
-        options: &ModelOptions,
-        warm: Option<&mut WarmStart>,
-        trace: Option<&mut SolverTrace>,
-        profile: SolveProfile,
-    ) -> Result<Solution> {
-        self.validate()?;
-        if options.lanes == 0 {
-            return Err(ModelError::Spec(
-                "lane count must be at least 1 (ModelOptions::lanes)".into(),
-            ));
-        }
-        let n = self.classes.len();
-        // Seed from the previous sweep point when its spec had the same
-        // shape; fall back to the cold start `x̄ = s/f` everywhere. A
-        // restart rung forces the cold seed (a poisoned warm guess can be
-        // exactly what kept the earlier rungs from converging).
-        let seed: Vec<f64> = match &warm {
-            Some(w) if !profile.cold_seed => match &w.guess {
-                Some(g) if g.len() == n => g.clone(),
-                _ => vec![self.worm_flits; n],
-            },
-            _ => vec![self.worm_flits; n],
-        };
-        let mut x = seed;
-        let iterations;
-        if let Some(order) = self.reverse_topological_order() {
-            for &i in &order {
-                x[i] = self.service_equation(i, &x, options)?;
-            }
-            iterations = 0;
-        } else {
-            let cfg = FixedPointConfig {
-                tolerance: 1e-12,
-                max_iterations: 20_000,
-                damping: profile.damping,
-            };
-            let mut deferred: Result<()> = Ok(());
-            let map = |cur: &[f64], next: &mut [f64]| {
-                for (i, slot) in next.iter_mut().enumerate() {
-                    match self.service_equation(i, cur, options) {
-                        Ok(v) => *slot = v,
-                        Err(e) => {
-                            deferred = Err(e.clone());
-                            return Err(QueueingError::Saturated {
-                                utilization: f64::INFINITY,
-                            });
-                        }
-                    }
-                }
-                Ok(())
-            };
-            let outcome = if profile.accelerated {
-                fixed_point_accelerated_traced(&x, cfg, AccelerationConfig::default(), map, trace)
-            } else {
-                fixed_point_traced(&x, cfg, map, trace)
-            };
-            match outcome {
-                Ok(out) => {
-                    x = out.values;
-                    iterations = out.iterations;
-                }
-                Err(e) => {
-                    deferred?;
-                    return Err(match e {
-                        QueueingError::NoConvergence {
-                            iterations,
-                            residual,
-                        } => ModelError::NoConvergence {
-                            iterations,
-                            residual,
-                            diverged: false,
-                        },
-                        QueueingError::Diverged {
-                            iterations,
-                            residual,
-                        } => ModelError::NoConvergence {
-                            iterations,
-                            residual,
-                            diverged: true,
-                        },
-                        other => ModelError::Spec(format!("fixed point failed: {other}")),
-                    });
-                }
-            }
-        }
-        let mut w = vec![0.0; n];
-        for i in 0..n {
-            // Waits are evaluated at the lane residence, matching the
-            // service equation (identity at L = 1).
-            let r = self.lane_residence(i, x[i], options)?;
-            w[i] = self.station_wait(i, r, options)?;
-        }
-        if let Some(state) = warm {
-            state.guess = Some(x.clone());
-            state.total_iterations += iterations;
-            state.solves += 1;
-        }
-        Ok(Solution {
-            service_times: x,
-            waiting_times: w,
-            iterations,
-        })
-    }
-
     /// Average latency via Eq. 2/25: `L = W_inj + x̄_inj + D̄ − 1`.
     ///
     /// # Errors
@@ -928,21 +558,6 @@ impl NetworkSpec {
     /// Same as [`Self::solve`].
     pub fn latency(&self, options: &ModelOptions) -> Result<crate::bft::LatencyBreakdown> {
         let sol = self.solve(options)?;
-        self.breakdown_from(&sol, options)
-    }
-
-    /// [`Self::latency`] with warm-started sweep state — the entry point
-    /// for figure sweeps re-solving the same network across loads.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve`].
-    pub fn latency_warm(
-        &self,
-        options: &ModelOptions,
-        warm: &mut WarmStart,
-    ) -> Result<crate::bft::LatencyBreakdown> {
-        let sol = self.solve_warm(options, warm)?;
         self.breakdown_from(&sol, options)
     }
 
@@ -1166,78 +781,6 @@ pub fn bft_spec_with_rates(
     }
 }
 
-/// Builds the class spec of a unidirectional `k`-node ring under uniform
-/// traffic — the canonical **cyclic** dependency graph.
-///
-/// Tree-ups/downs and dimension-ordered cubes all yield DAG class graphs
-/// that resolve in one backward pass; a ring's channels form a dependency
-/// cycle (`ring₀ → ring₁ → … → ring₀`), so Eq. 11 must be solved by
-/// fixed-point iteration. This makes the ring the exemplar network for the
-/// warm-started sweep machinery ([`WarmStart`],
-/// [`NetworkSpec::solve_warm`]): it is what the iteration-count benchmarks
-/// and regression tests sweep.
-///
-/// Model: each node sends `lambda0` worms/cycle to a destination uniform
-/// over the other `k − 1` nodes, so ring hops per message are uniform on
-/// `1..k−1` with mean `D = k/2`. Per-channel class rates follow by
-/// symmetry (`λ_ring = λ₀·D`), and a worm leaving a ring channel continues
-/// to the next one with the aggregate probability `(D−1)/D` or ejects with
-/// `1/D`.
-///
-/// # Panics
-///
-/// Panics when `k < 3` (a 2-ring has no cycle) or the inputs are not
-/// finite and positive.
-#[must_use]
-pub fn ring_spec(k: usize, worm_flits: f64, lambda0: f64) -> NetworkSpec {
-    assert!(k >= 3, "a ring needs at least 3 nodes to form a cycle");
-    assert!(worm_flits.is_finite() && worm_flits > 0.0);
-    assert!(lambda0.is_finite() && lambda0 >= 0.0);
-    let d = k as f64 / 2.0;
-    let p_continue = (d - 1.0) / d;
-    let p_eject = 1.0 / d;
-    // Class layout: 0 = ejection, 1..=k the ring channels, k+1 = injection.
-    let eject = ClassId(0);
-    let ring = |i: usize| ClassId(1 + (i % k));
-    let mut classes = Vec::with_capacity(k + 2);
-    classes.push(ClassSpec {
-        name: "eject".into(),
-        lambda: lambda0,
-        servers: 1,
-        body: ClassBody::Terminal {
-            service_time: worm_flits,
-        },
-    });
-    for i in 0..k {
-        classes.push(ClassSpec {
-            name: format!("ring{i}"),
-            lambda: lambda0 * d,
-            servers: 1,
-            body: ClassBody::Interior {
-                forwards: vec![
-                    Forward::flat(ring(i + 1), 1, p_continue),
-                    Forward::flat(eject, 1, p_eject),
-                ],
-            },
-        });
-    }
-    classes.push(ClassSpec {
-        name: "inject".into(),
-        lambda: lambda0,
-        servers: 1,
-        body: ClassBody::Interior {
-            forwards: vec![Forward::flat(ring(0), 1, 1.0)],
-        },
-    });
-    NetworkSpec {
-        classes,
-        worm_flits,
-        injection: ClassId(k + 1),
-        // Injection + D ring hops + ejection.
-        avg_distance: d + 2.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1281,7 +824,6 @@ mod tests {
         let spec = line_spec(0.01, 16.0);
         spec.validate().unwrap();
         let sol = spec.solve(&ModelOptions::paper()).unwrap();
-        assert_eq!(sol.iterations, 0, "line network is a DAG");
         // Ejection service is fixed.
         assert_eq!(sol.service_times[0], 16.0);
         // Each upstream hop adds a (blocked) wait.
@@ -1422,253 +964,86 @@ mod tests {
     fn bft_spec_is_a_dag() {
         let params = BftParams::paper(256).unwrap();
         let spec = bft_spec(&params, 32.0, 0.001);
-        let sol = spec.solve(&ModelOptions::paper()).unwrap();
-        assert_eq!(sol.iterations, 0);
+        let order = spec
+            .reverse_topological_order()
+            .expect("up*/down* is acyclic");
+        assert_eq!(order.len(), spec.classes.len());
+        spec.solve(&ModelOptions::paper()).unwrap();
     }
 
-    #[test]
-    fn cyclic_spec_falls_back_to_fixed_point() {
-        // Two classes forwarding to each other 50/50 with an escape to a
-        // terminal — a cycle the DAG path cannot order.
+    /// Two classes forwarding to each other 50/50 with an escape to a
+    /// terminal — a cycle no reverse-topological order exists for.
+    fn cyclic_spec(lambda: f64) -> NetworkSpec {
         let s = 8.0;
-        let spec = NetworkSpec {
+        let class = |name: &str, body| ClassSpec {
+            name: name.into(),
+            lambda,
+            servers: 1,
+            body,
+        };
+        let half = |to| ClassBody::Interior {
+            forwards: vec![
+                Forward::flat(ClassId(to), 1, 0.5),
+                Forward::flat(ClassId(0), 1, 0.5),
+            ],
+        };
+        NetworkSpec {
             classes: vec![
-                ClassSpec {
-                    name: "eject".into(),
-                    lambda: 0.01,
-                    servers: 1,
-                    body: ClassBody::Terminal { service_time: s },
-                },
-                ClassSpec {
-                    name: "a".into(),
-                    lambda: 0.01,
-                    servers: 1,
-                    body: ClassBody::Interior {
-                        forwards: vec![
-                            Forward::flat(ClassId(2), 1, 0.5),
-                            Forward::flat(ClassId(0), 1, 0.5),
-                        ],
-                    },
-                },
-                ClassSpec {
-                    name: "b".into(),
-                    lambda: 0.01,
-                    servers: 1,
-                    body: ClassBody::Interior {
-                        forwards: vec![
-                            Forward::flat(ClassId(1), 1, 0.5),
-                            Forward::flat(ClassId(0), 1, 0.5),
-                        ],
-                    },
-                },
-                ClassSpec {
-                    name: "inject".into(),
-                    lambda: 0.01,
-                    servers: 1,
-                    body: ClassBody::Interior {
+                class("eject", ClassBody::Terminal { service_time: s }),
+                class("a", half(2)),
+                class("b", half(1)),
+                class(
+                    "inject",
+                    ClassBody::Interior {
                         forwards: vec![Forward::flat(ClassId(1), 1, 1.0)],
                     },
-                },
+                ),
             ],
             worm_flits: s,
             injection: ClassId(3),
             avg_distance: 4.0,
-        };
-        spec.validate().unwrap();
-        let sol = spec.solve(&ModelOptions::paper()).unwrap();
-        assert!(sol.iterations > 0, "cycle must engage the fixed point");
-        // The fixed point must satisfy the service equations.
-        for i in 0..spec.classes.len() {
-            let rhs = spec
-                .service_equation(i, &sol.service_times, &ModelOptions::paper())
-                .unwrap();
-            assert!(
-                (sol.service_times[i] - rhs).abs() < 1e-8,
-                "class {i}: {} vs {rhs}",
-                sol.service_times[i]
-            );
         }
     }
 
     #[test]
-    fn ring_spec_is_cyclic_and_consistent() {
-        let spec = ring_spec(8, 16.0, 0.003);
-        spec.validate().unwrap();
-        assert!(
-            spec.reverse_topological_order().is_none(),
-            "a ring's class graph must be cyclic"
-        );
-        let sol = spec.solve(&ModelOptions::paper()).unwrap();
-        assert!(sol.iterations > 0, "cyclic graph engages the fixed point");
-        // The converged vector satisfies the service equations.
-        for i in 0..spec.classes.len() {
-            let rhs = spec
-                .service_equation(i, &sol.service_times, &ModelOptions::paper())
-                .unwrap();
-            assert!((sol.service_times[i] - rhs).abs() < 1e-8);
-        }
-        // Symmetry: all ring classes converge to the same service time.
-        for i in 2..=8 {
-            assert!((sol.service_times[i] - sol.service_times[1]).abs() < 1e-8);
-        }
-        // Zero load collapses to s everywhere and L = s + D̄ − 1.
-        let idle = ring_spec(8, 16.0, 0.0);
-        let lat = idle.latency(&ModelOptions::paper()).unwrap();
-        assert!((lat.total - (16.0 + 6.0 - 1.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_started_sweep_matches_cold_and_saves_iterations() {
-        // Ascending load sweep on the cyclic ring: warm solves must land on
-        // the cold-start vectors to 1e-9 and spend strictly fewer
-        // iterations on the vast majority of interior points.
-        // Up to ~95% of the ring-12 knee (λ₀ ≈ 0.0029).
-        let loads: Vec<f64> = (1..=20).map(|i| 0.00014 * f64::from(i)).collect();
+    fn cyclic_spec_is_a_typed_spec_error() {
+        let cyclic =
+            |e: ModelError| matches!(e, ModelError::Spec(msg) if msg == "cyclic class graph");
         let opts = ModelOptions::paper();
-        let mut warm = WarmStart::new();
-        let mut cold_total = 0usize;
-        let mut strictly_lower = 0usize;
-        for (pi, &lambda0) in loads.iter().enumerate() {
-            let spec = ring_spec(12, 16.0, lambda0);
-            let cold = spec.solve(&opts).unwrap();
-            let hot = spec.solve_warm(&opts, &mut warm).unwrap();
-            cold_total += cold.iterations;
-            for (a, b) in cold.service_times.iter().zip(&hot.service_times) {
-                assert!(
-                    (a - b).abs() < 1e-9 * (1.0 + a.abs()),
-                    "λ0={lambda0}: cold {a} vs warm {b}"
-                );
-            }
-            if pi > 0 && hot.iterations < cold.iterations {
-                strictly_lower += 1;
-            }
+        // At any load — including far past where an acyclic spec would
+        // saturate — a cycle is a usage error, never `Saturated`.
+        for lambda in [0.0, 0.01, 0.5] {
+            let spec = cyclic_spec(lambda);
+            assert!(cyclic(spec.validate().unwrap_err()));
+            assert!(cyclic(spec.solve(&opts).unwrap_err()));
+            assert!(cyclic(spec.solve_outcome(&opts).unwrap_err()));
+            assert!(cyclic(spec.latency(&opts).unwrap_err()));
         }
-        assert!(
-            strictly_lower as f64 >= 0.8 * (loads.len() - 1) as f64,
-            "warm start lower on only {strictly_lower}/19 interior points"
-        );
-        assert!(
-            (warm.total_iterations() as f64) < 0.7 * cold_total as f64,
-            "sweep iterations: warm {} vs cold {cold_total}",
-            warm.total_iterations()
-        );
-        assert_eq!(warm.solves(), loads.len());
-        assert!(warm.last_values().is_some());
+        assert!(cyclic(
+            cyclic_spec(1.0)
+                .find_knee(&opts, &KneeConfig::default())
+                .unwrap_err()
+        ));
     }
 
     #[test]
-    fn warm_start_survives_a_saturated_point_and_shape_changes() {
-        let opts = ModelOptions::paper();
-        let mut warm = WarmStart::new();
-        ring_spec(8, 16.0, 0.002)
-            .solve_warm(&opts, &mut warm)
-            .unwrap();
-        let seeded = warm.last_values().unwrap().to_vec();
-        // Far past the knee: the solve fails, the cache stays intact.
-        assert!(ring_spec(8, 16.0, 0.5)
-            .solve_warm(&opts, &mut warm)
-            .is_err());
-        assert_eq!(warm.last_values().unwrap(), seeded.as_slice());
-        // A different class count cannot reuse the guess but must still
-        // solve correctly from the cold seed.
-        let other = ring_spec(6, 16.0, 0.002);
-        let via_warm = other.solve_warm(&opts, &mut warm).unwrap();
-        let via_cold = other.solve(&opts).unwrap();
-        for (a, b) in via_warm.service_times.iter().zip(&via_cold.service_times) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn warm_start_on_a_dag_is_a_no_op_that_still_matches() {
-        // BFT specs are DAGs (0 iterations); warm solving must change
-        // nothing about the answer.
-        let params = BftParams::paper(64).unwrap();
-        let mut warm = WarmStart::new();
-        for lambda0 in [0.0005, 0.001, 0.0015] {
-            let spec = bft_spec(&params, 16.0, lambda0);
-            let cold = spec.latency(&ModelOptions::paper()).unwrap();
-            let hot = spec
-                .latency_warm(&ModelOptions::paper(), &mut warm)
-                .unwrap();
-            assert_eq!(cold.total.to_bits(), hot.total.to_bits());
-        }
-        assert_eq!(warm.total_iterations(), 0);
-    }
-
-    #[test]
-    fn traced_solve_is_bit_identical_and_captures_convergence() {
-        // Cyclic spec → fixed-point iteration → a non-empty trace whose
-        // values change nothing about the solution.
-        let spec = ring_spec(8, 16.0, 0.002);
-        let opts = ModelOptions::paper();
-        let plain = spec.solve(&opts).unwrap();
-        let mut tel = ModelTelemetry::default();
-        let traced = spec.solve_traced(&opts, &mut tel).unwrap();
-        assert_eq!(plain.iterations, traced.iterations);
-        for (a, b) in plain.service_times.iter().zip(&traced.service_times) {
-            assert_eq!(a.to_bits(), b.to_bits(), "tracing perturbed the solve");
-        }
-        for (a, b) in plain.waiting_times.iter().zip(&traced.waiting_times) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(tel.solver.converged);
-        assert_eq!(tel.solver.len(), plain.iterations);
-        assert!(tel.solver.final_residual <= 1e-12);
-        // Residuals decrease overall: last strictly below first.
-        let first = tel.solver.samples.first().unwrap().residual;
-        let last = tel.solver.samples.last().unwrap().residual;
-        assert!(last < first, "residual did not shrink: {first} -> {last}");
-        assert_eq!(tel.stations.len(), spec.classes.len());
-        for row in &tel.stations {
-            assert!(row.utilization >= 0.0 && row.utilization < 1.0);
-            assert!((0.0..=1.0).contains(&row.inbound_blocking));
-            assert!(row.residence >= 0.0 && row.waiting_time >= 0.0);
-        }
-        // The injection class has no inbound forwards → neutral factor.
-        let inj = &tel.stations[spec.injection.0];
-        assert_eq!(inj.inbound_blocking, 1.0);
-    }
-
-    #[test]
-    fn traced_warm_solve_matches_and_records_aitken_activity() {
-        let opts = ModelOptions::paper();
-        let mut warm_a = WarmStart::new();
-        let mut warm_b = WarmStart::new();
-        let mut tel = ModelTelemetry::default();
-        for lambda0 in [0.001, 0.0015, 0.002] {
-            let spec = ring_spec(10, 16.0, lambda0);
-            let plain = spec.solve_warm(&opts, &mut warm_a).unwrap();
-            let traced = spec
-                .solve_warm_traced(&opts, &mut warm_b, &mut tel)
-                .unwrap();
-            assert_eq!(plain.iterations, traced.iterations);
-            for (a, b) in plain.service_times.iter().zip(&traced.service_times) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            assert!(tel.solver.converged);
-            assert!(!tel.solver.is_empty());
-        }
-        assert_eq!(warm_a.total_iterations(), warm_b.total_iterations());
-    }
-
-    #[test]
-    fn traced_dag_solve_leaves_trace_empty_but_fills_stations() {
+    fn station_breakdown_reads_the_solution() {
         let params = BftParams::paper(64).unwrap();
         let spec = bft_spec(&params, 16.0, 0.001);
-        let mut tel = ModelTelemetry::default();
-        let sol = spec.solve_traced(&ModelOptions::paper(), &mut tel).unwrap();
-        assert_eq!(sol.iterations, 0, "BFT class graph is a DAG");
-        assert!(tel.solver.is_empty(), "no iteration ran, no samples");
-        assert_eq!(tel.stations.len(), spec.classes.len());
+        let opts = ModelOptions::paper();
+        let sol = spec.solve(&opts).unwrap();
+        let stations = spec.station_breakdown(&sol, &opts).unwrap();
+        assert_eq!(stations.len(), spec.classes.len());
         // Interior stations see real blocking factors under paper options.
-        assert!(tel
-            .stations
+        assert!(stations
             .iter()
             .any(|s| s.inbound_blocking < 1.0 && s.inbound_blocking > 0.0));
+        for row in &stations {
+            assert!(row.utilization >= 0.0 && row.utilization < 1.0);
+            assert!((0.0..=1.0).contains(&row.inbound_blocking));
+        }
         // Breakdown values come straight from the solution.
-        for (row, (x, w)) in tel
-            .stations
+        for (row, (x, w)) in stations
             .iter()
             .zip(sol.service_times.iter().zip(&sol.waiting_times))
         {
@@ -1676,6 +1051,8 @@ mod tests {
             assert_eq!(row.waiting_time.to_bits(), w.to_bits());
             assert_eq!(row.residence.to_bits(), x.to_bits(), "L = 1: residence = x̄");
         }
+        // The injection class has no inbound forwards → neutral factor.
+        assert_eq!(stations[spec.injection.0].inbound_blocking, 1.0);
     }
 
     #[test]
@@ -1733,7 +1110,7 @@ mod tests {
     fn solve_outcome_is_total_across_the_load_axis() {
         let opts = ModelOptions::paper();
         // Below the knee: converged, same values as the plain solve.
-        let spec = ring_spec(8, 16.0, 0.002);
+        let spec = line_spec(0.01, 16.0);
         let outcome = spec.solve_outcome(&opts).unwrap();
         let plain = spec.solve(&opts).unwrap();
         match &outcome {
@@ -1744,101 +1121,46 @@ mod tests {
             }
             other => panic!("sub-knee load must converge, got {other:?}"),
         }
-        // Far past the knee: Saturated, not an error and not a panic.
-        let hot = ring_spec(8, 16.0, 0.5);
+        // Past the knee (ρ = 3.2): Saturated, not an error and not a panic.
+        let hot = line_spec(0.2, 16.0);
         assert!(hot.solve_outcome(&opts).unwrap().is_saturated());
         // A genuine usage error is still an error.
-        let mut bad = ring_spec(8, 16.0, 0.002);
+        let mut bad = line_spec(0.01, 16.0);
         bad.classes[1].lambda = f64::NAN;
         assert!(bad.solve_outcome(&opts).is_err());
     }
 
     #[test]
-    fn solve_outcome_traced_records_ladder_and_outcome() {
-        let opts = ModelOptions::paper();
-        let mut tel = ModelTelemetry::default();
-
-        let ok = ring_spec(8, 16.0, 0.002)
-            .solve_outcome_traced(&opts, &mut tel)
-            .unwrap();
-        assert!(ok.is_converged());
-        assert_eq!(tel.outcome, Some(wormsim_obs::OutcomeKind::Converged));
-        assert_eq!(
-            tel.ladder.len(),
-            1,
-            "plain rung must suffice: {:?}",
-            tel.ladder
-        );
-        assert_eq!(tel.ladder[0].rung, "plain");
-        assert!(tel.ladder[0].succeeded);
-        assert!(!tel.stations.is_empty());
-        assert!(tel.solver.converged);
-
-        let sat = ring_spec(8, 16.0, 0.5)
-            .solve_outcome_traced(&opts, &mut tel)
-            .unwrap();
-        assert!(sat.is_saturated());
-        assert_eq!(tel.outcome, Some(wormsim_obs::OutcomeKind::Saturated));
-        assert!(!tel.ladder.is_empty());
-        assert!(tel.ladder.iter().all(|a| !a.succeeded));
-        assert!(tel.stations.is_empty(), "no breakdown without a solution");
-    }
-
-    #[test]
-    fn solve_outcome_warm_leaves_state_usable_past_a_saturated_point() {
-        let opts = ModelOptions::paper();
-        let mut warm = WarmStart::new();
-        assert!(ring_spec(8, 16.0, 0.002)
-            .solve_outcome_warm(&opts, &mut warm)
-            .unwrap()
-            .is_converged());
-        let seeded = warm.last_values().unwrap().to_vec();
-        assert!(ring_spec(8, 16.0, 0.5)
-            .solve_outcome_warm(&opts, &mut warm)
-            .unwrap()
-            .is_saturated());
-        assert_eq!(
-            warm.last_values().unwrap(),
-            seeded.as_slice(),
-            "a saturated point must not poison the warm start"
-        );
-        assert!(ring_spec(8, 16.0, 0.0021)
-            .solve_outcome_warm(&opts, &mut warm)
-            .unwrap()
-            .is_converged());
-    }
-
-    #[test]
-    fn find_knee_brackets_the_ring_saturation() {
-        // Unit-rate ring: the knee multiplier is λ₀ itself. The ring-8
-        // knee sits near λ₀ ≈ 0.004 (ρ_ring = λ₀·D·x̄ with x̄ ≥ 16).
-        let spec = ring_spec(8, 16.0, 1.0);
+    fn find_knee_brackets_the_line_saturation() {
+        // Unit-rate line: the knee multiplier is λ itself. Eq. 10 gives
+        // P = 0 on every hop, so every station serves in x̄ = s = 16 and
+        // saturates at ρ = 16·λ = 1.
+        let spec = line_spec(1.0, 16.0);
         let cfg = KneeConfig {
             initial: 1e-4,
             max: 1.0,
             rel_tolerance: 1e-3,
             max_probes: 200,
         };
-        let knee = spec.find_knee(&ModelOptions::paper(), &cfg).unwrap();
+        let opts = ModelOptions::paper();
+        let knee = spec.find_knee(&opts, &cfg).unwrap();
         // Feasible side must actually solve; infeasible side must not.
-        assert!(ring_spec(8, 16.0, knee.knee)
-            .solve_outcome(&ModelOptions::paper())
+        assert!(line_spec(knee.knee, 16.0)
+            .solve_outcome(&opts)
             .unwrap()
             .is_converged());
-        assert!(!ring_spec(8, 16.0, knee.first_infeasible)
-            .solve_outcome(&ModelOptions::paper())
+        assert!(line_spec(knee.first_infeasible, 16.0)
+            .solve_outcome(&opts)
             .unwrap()
-            .is_converged());
-        // Loose physical sanity: ρ < 1 needs λ₀ < 1/(D·s) = 1/64.
-        assert!(knee.knee > 1e-3 && knee.first_infeasible < 1.0 / 64.0);
+            .is_saturated());
+        assert!(knee.knee < 1.0 / 16.0 && knee.first_infeasible >= 1.0 / 16.0);
         assert!(knee.rel_width() <= 1e-3 + 1e-12);
     }
 
     #[test]
     fn find_knee_reports_open_brackets_as_typed_errors() {
-        // An idle-rate spec scaled up to `max` that never saturates
-        // within range: max far below the knee.
-        let spec = ring_spec(8, 16.0, 1.0);
+        // Scaled up to `max` far below the knee: never saturates in range.
+        let spec = line_spec(1.0, 16.0);
         let cfg = KneeConfig {
             initial: 1e-5,
             max: 1e-4,

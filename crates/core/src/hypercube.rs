@@ -142,9 +142,11 @@ mod tests {
 
     #[test]
     fn spec_is_a_dag() {
+        // `solve` rejects a cyclic class graph, so solving at all shows the
+        // e-cube dependencies are acyclic.
         let spec = hypercube_spec(6, 16.0, 0.001);
-        let sol = spec.solve(&ModelOptions::paper()).unwrap();
-        assert_eq!(sol.iterations, 0, "e-cube dependencies are acyclic");
+        spec.solve(&ModelOptions::paper())
+            .expect("e-cube dependencies are acyclic");
     }
 
     #[test]

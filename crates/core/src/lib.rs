@@ -26,13 +26,10 @@
 //! up-link bundles; and [`throughput`] hosts the saturation-point search
 //! shared by all models.
 //!
-//! Load sweeps re-solve the same network at many rates; the framework
-//! supports **warm starting** them: [`framework::WarmStart`] threads each
-//! point's converged service-time vector into the next solve (with
-//! adaptive damping and verified Aitken Δ² acceleration on cyclic class
-//! graphs such as [`framework::ring_spec`]), and
-//! [`flows::FlowModelSweep`] applies the same idea to workload-driven
-//! per-station models, rebuilding nothing but the class rates per point.
+//! Every class graph the framework accepts is acyclic, so a solve is one
+//! backward pass. Load sweeps re-solve the same network at many rates:
+//! [`flows::FlowModelSweep`] builds a workload-driven per-station model
+//! once and rebuilds nothing but the class rates per point.
 //!
 //! # Ablations
 //!

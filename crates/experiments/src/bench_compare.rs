@@ -5,8 +5,7 @@
 //! renders a verdict table:
 //!
 //! * **Deterministic fields** — schemas, `cycles_run`/`cycles_skipped`,
-//!   fixed-point iteration counts, knee-derived anchor loads, lane-model
-//!   latency anchors — must match **exactly**: they are machine-independent
+//!   knee-derived anchor loads, lane-model latency anchors — must match **exactly**: they are machine-independent
 //!   by construction, so any drift is a real behavioral change, not noise.
 //! * **Timing fields** (`median_ns` and friends) are machine snapshots;
 //!   they are compared with a configurable relative tolerance
@@ -558,30 +557,6 @@ pub fn compare_model(report: &mut CompareReport, cfg: &CompareConfig, base: &Jso
             Verdict::Skipped,
         );
     }
-    if let (Some(b), Some(c)) = (base.get("ring_sweep"), cand.get("ring_sweep")) {
-        for field in [
-            "points",
-            "cold_iterations",
-            "warm_iterations",
-            "iteration_reduction",
-        ] {
-            check_exact(
-                report,
-                &format!("ring_sweep.{field}"),
-                b.get(field),
-                c.get(field),
-            );
-        }
-        for field in ["cold_ns", "warm_ns"] {
-            check_timing(
-                report,
-                cfg,
-                &format!("ring_sweep.{field}"),
-                b.get(field),
-                c.get(field),
-            );
-        }
-    }
     if let (Some(b), Some(c)) = (base.get("flow_sweep"), cand.get("flow_sweep")) {
         check_exact(
             report,
@@ -697,8 +672,8 @@ pub fn validate_baseline(body: &str, expect_schema: &str) -> Result<(), String> 
 /// The cross-machine CI gate: regenerates a `--quick` baseline into a
 /// scratch directory and compares its **deterministic** fields against the
 /// committed full baselines in `baseline_dir`. Timings are skipped — the
-/// deterministic fields (cycle counts, iteration counts, knee-derived
-/// anchors) must reproduce bit-for-bit on any machine.
+/// deterministic fields (cycle counts, knee-derived anchors, lane-model
+/// latencies) must reproduce bit-for-bit on any machine.
 ///
 /// # Errors
 ///
@@ -839,41 +814,22 @@ mod tests {
 
     #[test]
     fn model_anchor_comparison_requires_equal_n() {
-        let base = Json::parse(
-            "{\"schema\": \"m\", \"anchor\": {\"n\": 1024, \"flit_load\": 0.0195}, \
-             \"ring_sweep\": {\"points\": 20, \"cold_iterations\": 100, \"warm_iterations\": 60, \
-             \"iteration_reduction\": 0.4, \"cold_ns\": 10, \"warm_ns\": 5}}",
-        )
-        .unwrap();
-        let cand_diff_n = Json::parse(
-            "{\"schema\": \"m\", \"anchor\": {\"n\": 256, \"flit_load\": 0.9}, \
-             \"ring_sweep\": {\"points\": 20, \"cold_iterations\": 100, \"warm_iterations\": 60, \
-             \"iteration_reduction\": 0.4, \"cold_ns\": 10, \"warm_ns\": 5}}",
-        )
-        .unwrap();
+        let base =
+            Json::parse("{\"schema\": \"m\", \"anchor\": {\"n\": 1024, \"flit_load\": 0.0195}}")
+                .unwrap();
+        let cand_diff_n =
+            Json::parse("{\"schema\": \"m\", \"anchor\": {\"n\": 256, \"flit_load\": 0.9}}")
+                .unwrap();
         let mut report = CompareReport::default();
         compare_model(&mut report, &CompareConfig::default(), &base, &cand_diff_n);
         assert_eq!(report.regressions(), 0, "{}", report.render());
         // Same N, different anchor load: deterministic regression.
-        let cand_drift = Json::parse(
-            "{\"schema\": \"m\", \"anchor\": {\"n\": 1024, \"flit_load\": 0.02}, \
-             \"ring_sweep\": {\"points\": 20, \"cold_iterations\": 100, \"warm_iterations\": 60, \
-             \"iteration_reduction\": 0.4, \"cold_ns\": 10, \"warm_ns\": 5}}",
-        )
-        .unwrap();
+        let cand_drift =
+            Json::parse("{\"schema\": \"m\", \"anchor\": {\"n\": 1024, \"flit_load\": 0.02}}")
+                .unwrap();
         let mut r2 = CompareReport::default();
         compare_model(&mut r2, &CompareConfig::default(), &base, &cand_drift);
         assert_eq!(r2.regressions(), 1, "{}", r2.render());
-        // Changed iteration counts are deterministic regressions too.
-        let cand_iters = Json::parse(
-            "{\"schema\": \"m\", \"anchor\": {\"n\": 1024, \"flit_load\": 0.0195}, \
-             \"ring_sweep\": {\"points\": 20, \"cold_iterations\": 101, \"warm_iterations\": 60, \
-             \"iteration_reduction\": 0.4, \"cold_ns\": 10, \"warm_ns\": 5}}",
-        )
-        .unwrap();
-        let mut r3 = CompareReport::default();
-        compare_model(&mut r3, &CompareConfig::default(), &base, &cand_iters);
-        assert_eq!(r3.regressions(), 1, "{}", r3.render());
     }
 
     #[test]
@@ -883,7 +839,7 @@ mod tests {
         let sim = std::fs::read_to_string(root.join("BENCH_sim.json")).unwrap();
         let model = std::fs::read_to_string(root.join("BENCH_model.json")).unwrap();
         validate_baseline(&sim, "wormsim-bench-sim/v7").unwrap();
-        validate_baseline(&model, "wormsim-bench-model/v3").unwrap();
+        validate_baseline(&model, "wormsim-bench-model/v4").unwrap();
         let report = compare_dirs(&root, &root, &CompareConfig::default()).unwrap();
         assert_eq!(report.regressions(), 0, "{}", report.render());
         assert!(report.compared() > 30, "{}", report.render());

@@ -15,10 +15,9 @@
 //!   get recorded, and the observability-overhead A/B point
 //!   (`obs_overhead`, budget ≤1%).
 //! * `BENCH_model.json` — analytical-model costs: closed-form and
-//!   framework solve times, plus the **deterministic** fixed-point
-//!   iteration counts of a 20-point cyclic framework sweep, cold-started
-//!   vs warm-started (the iteration reduction is machine-independent and
-//!   belongs in version control as a hard regression anchor).
+//!   framework solve times, a flow-sweep rebuild vs rescale, and the
+//!   **deterministic** lane-model latency anchors (machine-independent,
+//!   so they belong in version control as a hard regression anchor).
 //!
 //! Model anchor loads are **knee-derived**: half the bracketed saturation
 //! knee ([`wormsim_core::framework::NetworkSpec::find_knee`]) at each
@@ -28,7 +27,7 @@
 //! The JSON is hand-rolled (no serde in this offline workspace): flat
 //! objects, stable key order, one point per line — diffable across PRs so
 //! the perf trajectory is tracked from this baseline onward. Timings are
-//! machine-dependent snapshots; iteration counts and not-walked-cycle
+//! machine-dependent snapshots; latency anchors and not-walked-cycle
 //! fractions must reproduce exactly anywhere.
 //!
 //! `--quick` shrinks repetitions and drops the largest machine so CI can
@@ -48,7 +47,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use wormsim_core::bft::BftModel;
 use wormsim_core::flows::FlowModelSweep;
-use wormsim_core::framework::{bft_spec, ring_spec, WarmStart};
+use wormsim_core::framework::bft_spec;
 use wormsim_core::options::ModelOptions;
 use wormsim_faults::{link_faults, FaultPlan};
 use wormsim_guard::KneeConfig;
@@ -114,7 +113,7 @@ fn json_num(v: f64) -> String {
 }
 
 /// The single-lane model's bracketed saturation knee at `params`, in
-/// flits/cycle/PE. Bisection over warm-started probes — deterministic,
+/// flits/cycle/PE. Bisection over saturation-aware probes — deterministic,
 /// so knee-derived anchor loads reproduce exactly across machines.
 fn model_knee_flit_load(params: BftParams, worm_flits: f64) -> Result<f64, ExperimentError> {
     // Reference rate such that the default multiplier range [1e-3, 64]
@@ -348,7 +347,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     };
     let obs_ratio = obs_disabled_ns as f64 / obs_plain_ns.max(1) as f64;
 
-    // ---- Model set: solve costs + deterministic iteration counts.
+    // ---- Model set: solve costs + deterministic latency anchors.
     // Anchor loads are half the bracketed knee at each N — safely below
     // saturation at every machine size, no per-mode constants. ----
     let model_reps = reps * 4;
@@ -376,31 +375,6 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
                 .unwrap_or(f64::NAN),
         );
     });
-
-    // 20-point monotone load sweep on the cyclic ring exemplar: cold
-    // restarts vs the warm-started accelerated solver. Iteration counts
-    // are exact integers, identical on every machine.
-    let sweep_loads: Vec<f64> = (1..=20).map(|i| 0.0001 * f64::from(i)).collect();
-    let opts = ModelOptions::paper();
-    let _ = ring_spec(16, 16.0, 0.002).solve(&opts)?;
-    let mut cold_iters = 0usize;
-    let cold_ns = median_ns(reps, || {
-        cold_iters = 0;
-        for &l in &sweep_loads {
-            if let Ok(sol) = ring_spec(16, 16.0, l).solve(&opts) {
-                cold_iters += sol.iterations;
-            }
-        }
-    });
-    let mut warm_iters = 0usize;
-    let warm_ns = median_ns(reps, || {
-        let mut warm = WarmStart::new();
-        for &l in &sweep_loads {
-            let _ = ring_spec(16, 16.0, l).solve_warm(&opts, &mut warm);
-        }
-        warm_iters = warm.total_iterations();
-    });
-    let iter_reduction = 1.0 - warm_iters as f64 / cold_iters.max(1) as f64;
 
     // Lane model: multi-lane solve cost plus deterministic latency anchors
     // (exact same floating-point values on every machine — the committed
@@ -433,6 +407,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     let tree64 = ButterflyFatTree::new(BftParams::paper(64)?);
     let flows = FlowVector::build(&tree64, &DestinationPattern::hot_spot())?;
     let flow_loads = [0.0002, 0.0005, 0.0008, 0.0011, 0.0014];
+    let opts = ModelOptions::paper();
     let _ = wormsim_core::flows::model_from_flows(tree64.network(), &flows, 16.0, 0.0014)?
         .latency(&opts)?;
     let rebuild_ns = median_ns(reps, || {
@@ -525,18 +500,11 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     out.section(format!(
         "Model: closed-form latency {:.1} us, framework solve {:.1} us (N={}, \
          knee-derived anchor load {:.4}).\n\
-         Ring sweep (20 points): cold {} iterations / {:.1} us, warm {} iterations / {:.1} us \
-         → {:.1}% fewer iterations.\n\
-         Hot-spot flow sweep (5 points, N=64): rebuild {:.1} us, warm rescale {:.1} us.",
+         Hot-spot flow sweep (5 points, N=64): rebuild {:.1} us, rescale {:.1} us.",
         closed_ns as f64 / 1e3,
         framework_ns as f64 / 1e3,
         params.num_processors(),
         closed_anchor,
-        cold_iters,
-        cold_ns as f64 / 1e3,
-        warm_iters,
-        warm_ns as f64 / 1e3,
-        100.0 * iter_reduction,
         rebuild_ns as f64 / 1e3,
         sweep_ns as f64 / 1e3,
     ));
@@ -581,7 +549,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     sim_json.push_str("}\n");
 
     let mut model_json = String::from("{\n");
-    let _ = writeln!(model_json, "  \"schema\": \"wormsim-bench-model/v3\",");
+    let _ = writeln!(model_json, "  \"schema\": \"wormsim-bench-model/v4\",");
     let _ = writeln!(model_json, "  \"quick\": {},", ctx.quick);
     let _ = writeln!(model_json, "  \"repetitions\": {reps},");
     let _ = writeln!(
@@ -593,14 +561,6 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         "  \"anchor\": {{\"n\": {}, \"flit_load\": {}}},",
         params.num_processors(),
         json_num(closed_anchor),
-    );
-    let _ = writeln!(
-        model_json,
-        "  \"ring_sweep\": {{\"points\": {}, \"cold_iterations\": {cold_iters}, \
-         \"warm_iterations\": {warm_iters}, \"iteration_reduction\": {}, \
-         \"cold_ns\": {cold_ns}, \"warm_ns\": {warm_ns}}},",
-        sweep_loads.len(),
-        json_num(iter_reduction),
     );
     let _ = writeln!(
         model_json,
@@ -657,7 +617,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_baseline_writes_both_jsons_with_stable_iteration_counts() {
+    fn quick_baseline_writes_both_jsons_with_stable_anchors() {
         let dir = std::env::temp_dir().join(format!("wormsim_bench_{}", std::process::id()));
         let ctx = ExperimentContext {
             quick: true,
@@ -690,31 +650,10 @@ mod tests {
             sim.contains("bft64_pastknee_f5_ff"),
             "past-knee fault point present"
         );
-        assert!(model.contains("\"schema\": \"wormsim-bench-model/v3\""));
-        assert!(model.contains("\"ring_sweep\""));
+        assert!(model.contains("\"schema\": \"wormsim-bench-model/v4\""));
         assert!(model.contains("\"anchor\""), "knee-derived anchor recorded");
         assert!(model.contains("\"lanes\""), "lanes model group present");
         assert!(model.contains("l4_latency"));
-        // The iteration counts in the report are deterministic: warm must
-        // beat cold by the 30% sweep target.
-        assert!(out.report.contains("fewer iterations"));
-        let reduction = model
-            .lines()
-            .find(|l| l.contains("iteration_reduction"))
-            .and_then(|l| {
-                l.split("\"iteration_reduction\": ")
-                    .nth(1)?
-                    .split([',', '}'])
-                    .next()?
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-            })
-            .expect("reduction parseable");
-        assert!(
-            reduction >= 0.30,
-            "warm start below the 30% sweep target: {reduction}"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

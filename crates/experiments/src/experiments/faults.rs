@@ -151,7 +151,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         let router = FaultedBftRouter::new(&tree, plan.clone())?;
 
         // The degraded model's own knee, bracketed by the guard layer
-        // (bisection over warm-started probes) instead of the old
+        // (bisection over saturation-aware probes) instead of the old
         // grid scan. `find_knee` works in λ₀, so convert to flit load.
         let knee_cfg = KneeConfig {
             initial: step / f64::from(s),

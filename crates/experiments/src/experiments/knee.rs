@@ -3,7 +3,7 @@
 //! For every (machine size, lane count, failure fraction) in the grid,
 //! the guard layer brackets the analytical model's saturation knee
 //! ([`FlowModelSweep::find_knee`]: geometric growth then bisection over
-//! warm-started probes, the full escalation ladder behind every probe)
+//! saturation-aware probes)
 //! and the result is validated two ways:
 //!
 //! 1. **Totality** — the load axis is swept from 0 to 2× the bracketed
@@ -114,7 +114,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         "Saturation-knee atlas — butterfly fat-tree, s={s} flits, uniform \
          traffic, N ∈ {sizes:?}, lanes ∈ {lane_counts:?}, link-failure \
          fraction ∈ {fractions:?}.\n\
-         Model knees are bracketed by bisection over warm-started probes \
+         Model knees are bracketed by bisection over saturation-aware probes \
          (guard layer); each knee is validated by sweeping typed outcomes \
          over [0, 2× knee] (totality) and against the simulator's \
          delivered-throughput knee on the same fabric. Base seed {:#x}.",

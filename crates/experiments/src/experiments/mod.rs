@@ -199,7 +199,7 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn, &str)] = &[
     (
         "bench-baseline",
         bench_baseline::run,
-        "Perf P1: micro-bench baseline (BENCH_sim.json / BENCH_model.json), ff + warm-start evidence",
+        "Perf P1: micro-bench baseline (BENCH_sim.json / BENCH_model.json), ff + flow-sweep rescale evidence",
     ),
     (
         "trace",

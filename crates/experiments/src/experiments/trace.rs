@@ -11,20 +11,18 @@
 //!   `about:tracing` or Perfetto (one track per worm, inject→deliver
 //!   slices with route/grant/stall/drain instants, 1 cycle = 1 µs).
 //!
-//! The model side is demonstrated too: the cyclic-ring fixed point is
-//! solved with its convergence trace captured (plain and accelerated,
-//! showing damping and Aitken Δ² activity), and the fat-tree spec's
-//! per-station breakdown table is rendered from the same solve.
+//! The model side is demonstrated too: the fat-tree spec is solved at the
+//! run's operating point and its per-station breakdown table rendered.
 
 use super::{ExperimentContext, ExperimentOutput};
 use crate::error::ExperimentError;
 use crate::table::{num, Table};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use wormsim_core::framework::{bft_spec, ring_spec, WarmStart};
+use wormsim_core::framework::bft_spec;
 use wormsim_core::options::ModelOptions;
 use wormsim_obs::export::{write_chrome_trace, write_jsonl};
-use wormsim_obs::{ModelTelemetry, StallCause};
+use wormsim_obs::StallCause;
 use wormsim_sim::config::{
     EngineKind, LaneAllocatorKind, LaneConfig, ObsConfig, SimConfig, TrafficConfig,
 };
@@ -154,62 +152,16 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     out.section("Per-lane-index grants (aggregated over channels):");
     out.section(lane_tbl.render());
 
-    // ---- Model telemetry: cyclic-ring convergence trace. ----
-    let opts = ModelOptions::paper();
-    let ring = ring_spec(16, f64::from(worm_flits), 0.002);
-    let mut plain_tel = ModelTelemetry::default();
-    let mut accel_tel = ModelTelemetry::default();
-    let plain_ok = ring.solve_traced(&opts, &mut plain_tel).is_ok();
-    let accel_ok = ring
-        .solve_warm_traced(&opts, &mut WarmStart::new(), &mut accel_tel)
-        .is_ok();
-    if plain_ok && accel_ok {
-        out.section(format!(
-            "Solver telemetry (16-ring, the cyclic exemplar): plain damped iteration \
-             converged in {} evaluations (final residual {:.2e}); accelerated in {} \
-             evaluations with {} Aitken Δ² steps accepted, {} rejected.",
-            plain_tel.solver.len(),
-            plain_tel.solver.final_residual,
-            accel_tel.solver.len(),
-            accel_tel.solver.aitken_accepts(),
-            accel_tel.solver.aitken_rejects(),
-        ));
-        let mut conv = Table::new(vec!["evaluation", "residual", "damping", "aitken"]);
-        let samples = &accel_tel.solver.samples;
-        let shown: Vec<usize> = if samples.len() <= 8 {
-            (0..samples.len()).collect()
-        } else {
-            (0..4).chain(samples.len() - 4..samples.len()).collect()
-        };
-        let mut prev = None;
-        for i in shown {
-            if let Some(p) = prev {
-                if i != p + 1 {
-                    conv.row(vec!["...", "...", "...", "..."]);
-                }
-            }
-            prev = Some(i);
-            let s = &samples[i];
-            conv.row(vec![
-                s.evaluation.to_string(),
-                format!("{:.3e}", s.residual),
-                num(s.damping, 3),
-                s.aitken.label().to_string(),
-            ]);
-        }
-        out.section("Accelerated convergence trace (first/last evaluations):");
-        out.section(conv.render());
-    } else {
-        out.section("[warn] ring solve failed; no solver telemetry");
-    }
-
     // ---- Per-station breakdown of the fat-tree spec at this run's
     // operating point (same lanes as the simulation). ----
     let lambda0 = flit_load / f64::from(worm_flits);
     let spec = bft_spec(&BftParams::paper(n)?, f64::from(worm_flits), lambda0);
-    let mut bft_tel = ModelTelemetry::default();
-    match spec.solve_traced(&opts.with_lanes(lanes), &mut bft_tel) {
-        Ok(_) => {
+    let opts = ModelOptions::paper().with_lanes(lanes);
+    match spec
+        .solve(&opts)
+        .and_then(|sol| spec.station_breakdown(&sol, &opts))
+    {
+        Ok(stations) => {
             let mut st = Table::new(vec![
                 "station",
                 "lambda",
@@ -220,7 +172,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
                 "util",
                 "inbound blk",
             ]);
-            for row in &bft_tel.stations {
+            for row in &stations {
                 st.row(vec![
                     row.name.clone(),
                     format!("{:.5}", row.lambda),
@@ -233,8 +185,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
                 ]);
             }
             out.section(format!(
-                "Model per-station breakdown (BFT N={n}, λ0={lambda0:.5}, L={lanes}; \
-                 the class graph is a DAG, so the solver trace is empty):"
+                "Model per-station breakdown (BFT N={n}, λ0={lambda0:.5}, L={lanes}):"
             ));
             out.section(st.render());
         }
@@ -290,7 +241,6 @@ mod tests {
         assert_eq!(out.artifacts.len(), 2, "report:\n{}", out.report);
         assert!(out.report.contains("Conservation"));
         assert!(!out.report.contains("[warn]"), "report:\n{}", out.report);
-        assert!(out.report.contains("Aitken"));
         assert!(out.report.contains("inbound blk"));
 
         let jsonl = std::fs::read_to_string(dir.join("trace.jsonl")).unwrap();

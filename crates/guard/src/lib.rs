@@ -1,23 +1,14 @@
-//! Saturation-aware solving layer for the wormhole fixed-point model.
+//! Saturation-aware solving layer for the wormhole model.
 //!
 //! The Greenberg–Guan model is only defined below the saturation knee: past
-//! it, the §2 fixed point has no finite solution and a naive solver either
-//! diverges, burns its whole iteration budget, or (worst) panics in a
-//! downstream kernel fed `ρ ≥ 1`. This crate makes every solve *total over
-//! load ∈ [0, ∞)* by layering three mechanisms on top of the raw solver in
-//! `wormsim-queueing`:
+//! it a station sees `ρ ≥ 1` and its queueing kernel has no finite wait.
+//! This crate makes every solve *total over load ∈ [0, ∞)* with two
+//! mechanisms:
 //!
-//! 1. **Typed outcomes** — [`SolveOutcome`] tags a solve as `Converged`,
+//! 1. **Typed outcomes** — [`SolveOutcome`] tags a solve as `Converged` or
 //!    `Saturated` (the load is past the knee; the model has no answer and
-//!    never will), or `NoConvergence` (the budget expired without a
-//!    saturation diagnosis — rare, reported rather than retried forever).
-//! 2. **An escalation ladder** — [`escalate`] retries a failed solve
-//!    through [`Rung::Plain`] → [`Rung::Damped`] → [`Rung::AcceleratedRestart`]
-//!    before conceding. A transient failure at one rung (non-convergence,
-//!    detected divergence that heavier damping or Aitken acceleration can
-//!    rescue) moves to the next; a definitive failure (`ρ ≥ 1`, invalid
-//!    spec) aborts immediately.
-//! 3. **Knee bracketing** — [`bracket_knee`] finds the boundary between
+//!    never will).
+//! 2. **Knee bracketing** — [`bracket_knee`] finds the boundary between
 //!    the feasible and infeasible load regions by geometric growth plus
 //!    bisection, so callers can *ask* where the model stops being valid
 //!    instead of discovering it by panic.
@@ -36,8 +27,6 @@
 
 use std::fmt;
 
-use wormsim_queueing::QueueingError;
-
 // ---------------------------------------------------------------------------
 // Typed outcomes
 // ---------------------------------------------------------------------------
@@ -51,19 +40,19 @@ use wormsim_queueing::QueueingError;
 /// regions of the load axis.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveOutcome<T> {
-    /// The fixed point converged; the model is valid at this load.
+    /// The solve succeeded; the model is valid at this load.
     Converged(T),
     /// The load is at or past the saturation knee: a station saw `ρ ≥ 1`
-    /// or the iteration was caught diverging. `knee_estimate` is the
+    /// or a kernel left its domain. `knee_estimate` is the
     /// bracketed knee when the caller has run [`bracket_knee`] (loads in
     /// the same units the solve was asked in), `None` otherwise.
     Saturated {
         /// Best available estimate of the saturation knee, if bracketed.
         knee_estimate: Option<f64>,
     },
-    /// The iteration budget expired with the residual still shrinking too
-    /// slowly — neither a solution nor a saturation diagnosis. Distinct
-    /// from `Saturated` so callers can flag points needing a bigger budget.
+    /// An iterative solve ran out of budget — neither a solution nor a
+    /// saturation diagnosis. The model's one-pass acyclic solve never
+    /// produces it; the arm stays so that callers matching on it compile.
     NoConvergence {
         /// Map evaluations performed before giving up.
         iterations: usize,
@@ -131,139 +120,6 @@ impl<T> SolveOutcome<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Escalation ladder
-// ---------------------------------------------------------------------------
-
-/// One rung of the escalation ladder, in ascending order of firepower.
-///
-/// The interpretation of each rung belongs to the solver being driven; for
-/// the `wormsim-core` fixed point they map to the paper's damped Picard
-/// iteration at its standard damping, a heavily-damped variant for
-/// marginally-stable loads, and the Aitken-accelerated solver restarted
-/// from a cold seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Rung {
-    /// The solver's standard configuration.
-    Plain,
-    /// Heavier damping: slower but contracts in regimes where the plain
-    /// iteration oscillates or overshoots.
-    Damped,
-    /// Aitken-accelerated iteration restarted from a cold seed — the
-    /// strongest rung, able to land on weakly-repelling fixed points the
-    /// Picard map walks away from.
-    AcceleratedRestart,
-}
-
-impl Rung {
-    /// Every rung, in escalation order.
-    pub const LADDER: [Rung; 3] = [Rung::Plain, Rung::Damped, Rung::AcceleratedRestart];
-
-    /// Short label for telemetry (`"plain"`, `"damped"`, `"accel_restart"`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Rung::Plain => "plain",
-            Rung::Damped => "damped",
-            Rung::AcceleratedRestart => "accel_restart",
-        }
-    }
-}
-
-impl fmt::Display for Rung {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// What the escalation ladder concluded.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LadderOutcome<T, E> {
-    /// A rung solved it. `rung` says which; `attempts` counts rungs tried
-    /// (1 means the plain solve just worked — the common, zero-overhead
-    /// case).
-    Solved {
-        /// The solution.
-        value: T,
-        /// The rung that succeeded.
-        rung: Rung,
-        /// Total rungs attempted, including the successful one.
-        attempts: usize,
-    },
-    /// Every rung failed with a *retryable* error: the strongest solver
-    /// available could neither converge nor prove saturation. Carries the
-    /// last (strongest-rung) error.
-    Exhausted {
-        /// The error from the final rung.
-        last_error: E,
-        /// Total rungs attempted.
-        attempts: usize,
-    },
-    /// A rung failed with a non-retryable error — saturation (`ρ ≥ 1`) or
-    /// a spec problem that no amount of damping will fix. The ladder stops
-    /// immediately; retrying a definitive diagnosis only wastes time.
-    Aborted {
-        /// The definitive error.
-        error: E,
-        /// The rung that produced it.
-        rung: Rung,
-        /// Total rungs attempted, including the aborting one.
-        attempts: usize,
-    },
-}
-
-/// Drives a solve up the escalation ladder.
-///
-/// `solve` is invoked with each [`Rung`] in [`Rung::LADDER`] order until it
-/// succeeds, fails non-retryably (per `retryable`), or the ladder is
-/// exhausted. The closure owns all solver state (warm starts, traces);
-/// `escalate` only sequences the attempts.
-pub fn escalate<T, E>(
-    mut solve: impl FnMut(Rung) -> Result<T, E>,
-    retryable: impl Fn(&E) -> bool,
-) -> LadderOutcome<T, E> {
-    for (i, rung) in Rung::LADDER.into_iter().enumerate() {
-        let attempts = i + 1;
-        match solve(rung) {
-            Ok(value) => {
-                return LadderOutcome::Solved {
-                    value,
-                    rung,
-                    attempts,
-                }
-            }
-            Err(e) if retryable(&e) => {
-                if attempts == Rung::LADDER.len() {
-                    return LadderOutcome::Exhausted {
-                        last_error: e,
-                        attempts,
-                    };
-                }
-            }
-            Err(error) => {
-                return LadderOutcome::Aborted {
-                    error,
-                    rung,
-                    attempts,
-                }
-            }
-        }
-    }
-    unreachable!("Rung::LADDER is non-empty; every iteration of the final rung returns")
-}
-
-/// The retry policy for [`QueueingError`]s: iteration failures
-/// (`NoConvergence`, `Diverged`) are worth a stronger rung — heavier
-/// damping or Aitken acceleration genuinely rescues marginal loads —
-/// while `Saturated` and input-validation errors are definitive.
-#[must_use]
-pub fn queueing_retryable(e: &QueueingError) -> bool {
-    matches!(
-        e,
-        QueueingError::NoConvergence { .. } | QueueingError::Diverged { .. }
-    )
-}
-
-// ---------------------------------------------------------------------------
 // Knee bracketing
 // ---------------------------------------------------------------------------
 
@@ -275,8 +131,7 @@ pub struct KneeConfig {
     /// [`KneeError::InfeasibleAtFloor`].
     pub initial: f64,
     /// Upper limit of the growth phase. A model still feasible above this
-    /// yields [`KneeError::NoKneeBelowMax`] (e.g. a DAG model feasible at
-    /// every finite load).
+    /// yields [`KneeError::NoKneeBelowMax`].
     pub max: f64,
     /// Bisection stops when the bracket satisfies
     /// `(hi − lo) ≤ rel_tolerance · hi`.
@@ -463,119 +318,6 @@ mod tests {
         };
         assert_eq!(n.label(), "no_convergence");
         assert_eq!(n.into_converged(), None);
-    }
-
-    #[test]
-    fn ladder_returns_first_success_without_extra_attempts() {
-        let out = escalate::<_, QueueingError>(|_| Ok(42), queueing_retryable);
-        assert_eq!(
-            out,
-            LadderOutcome::Solved {
-                value: 42,
-                rung: Rung::Plain,
-                attempts: 1
-            }
-        );
-    }
-
-    #[test]
-    fn ladder_escalates_past_transient_failures() {
-        let mut calls = Vec::new();
-        let out = escalate(
-            |rung| {
-                calls.push(rung);
-                if rung == Rung::AcceleratedRestart {
-                    Ok("rescued")
-                } else {
-                    Err(QueueingError::Diverged {
-                        iterations: 41,
-                        residual: 1e9,
-                    })
-                }
-            },
-            queueing_retryable,
-        );
-        assert_eq!(
-            calls,
-            vec![Rung::Plain, Rung::Damped, Rung::AcceleratedRestart]
-        );
-        assert!(matches!(
-            out,
-            LadderOutcome::Solved {
-                value: "rescued",
-                rung: Rung::AcceleratedRestart,
-                attempts: 3
-            }
-        ));
-    }
-
-    #[test]
-    fn ladder_aborts_immediately_on_saturation() {
-        let mut calls = 0;
-        let out = escalate::<u8, _>(
-            |_| {
-                calls += 1;
-                Err(QueueingError::Saturated { utilization: 1.3 })
-            },
-            queueing_retryable,
-        );
-        assert_eq!(calls, 1, "a definitive diagnosis must not be retried");
-        assert!(matches!(
-            out,
-            LadderOutcome::Aborted {
-                error: QueueingError::Saturated { .. },
-                rung: Rung::Plain,
-                attempts: 1
-            }
-        ));
-    }
-
-    #[test]
-    fn ladder_reports_exhaustion_with_the_strongest_rung_error() {
-        let out = escalate::<u8, _>(
-            |rung| {
-                Err(QueueingError::NoConvergence {
-                    iterations: match rung {
-                        Rung::Plain => 1,
-                        Rung::Damped => 2,
-                        Rung::AcceleratedRestart => 3,
-                    },
-                    residual: 1.0,
-                })
-            },
-            queueing_retryable,
-        );
-        match out {
-            LadderOutcome::Exhausted {
-                last_error: QueueingError::NoConvergence { iterations, .. },
-                attempts,
-            } => {
-                assert_eq!(attempts, 3);
-                assert_eq!(iterations, 3, "must carry the final rung's error");
-            }
-            other => panic!("expected Exhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn retry_policy_classifies_queueing_errors() {
-        assert!(queueing_retryable(&QueueingError::NoConvergence {
-            iterations: 5,
-            residual: 1.0
-        }));
-        assert!(queueing_retryable(&QueueingError::Diverged {
-            iterations: 41,
-            residual: 1e9
-        }));
-        assert!(!queueing_retryable(&QueueingError::Saturated {
-            utilization: 1.1
-        }));
-        assert!(!queueing_retryable(&QueueingError::InvalidRate {
-            rate: -1.0
-        }));
-        assert!(!queueing_retryable(&QueueingError::Numerical {
-            value: f64::NAN
-        }));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Zero-cost observability for wormsim: metric registry, worm-lifecycle
-//! event sink, per-channel/per-lane accounting, solver convergence
-//! telemetry, and JSONL / Chrome `trace_event` exporters.
+//! event sink, per-channel/per-lane accounting, the model's per-station
+//! breakdown, and JSONL / Chrome `trace_event` exporters.
 //!
 //! This crate is a dependency-free leaf so that every layer of the
-//! workspace (simulator, queueing solver, modeling framework,
-//! experiments) can speak the same telemetry types without cycles.
+//! workspace (simulator, modeling framework, experiments) can speak the same telemetry types without cycles.
 //!
 //! # Zero-cost discipline
 //!
@@ -12,8 +11,7 @@
 //! `Option<SimTrace>`; with no observer attached every hook site is a
 //! single not-taken branch on `None` — the workspace's bench baseline
 //! carries an overhead point (`bft64_load0.1_l1`) holding the disabled
-//! path to a ≤1% budget. The queueing solver takes an
-//! `Option<&mut SolverTrace>` with the same property.
+//! path to a ≤1% budget.
 //!
 //! # Neutrality guarantee
 //!
@@ -44,10 +42,7 @@ pub mod timeseries;
 
 pub use events::{EventSink, StallCause, WormEvent};
 pub use metrics::{Histogram, Registry};
-pub use model::{
-    AitkenStep, IterationSample, LadderSample, ModelTelemetry, OutcomeKind, SolverTrace,
-    StationBreakdown,
-};
+pub use model::StationBreakdown;
 pub use sim::{ChannelUsage, LaneUsage, ObsConfig, SimSnapshot, SimTrace};
 pub use steady::{detect_steady_state, mser, mser5, SteadyState, Truncation};
 pub use timeseries::{TimeSeries, TimeSeriesConfig, TimeSeriesResult, WindowStats};

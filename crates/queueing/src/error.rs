@@ -36,26 +36,6 @@ pub enum QueueingError {
         /// The rejected probability value.
         probability: f64,
     },
-    /// A fixed-point iteration failed to converge within its budget.
-    NoConvergence {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-        /// Residual `|x_{k+1} − x_k|` (∞-norm) at the last iteration.
-        residual: f64,
-    },
-    /// A fixed-point iteration was detected *diverging*: its residual grew
-    /// monotonically past the watchdog threshold, or an iterate went
-    /// non-finite. Unlike [`NoConvergence`](Self::NoConvergence) (budget
-    /// exhausted while possibly still contracting), this is an early exit —
-    /// the map is moving away from any fixed point, the signature of a
-    /// load past the saturation knee.
-    Diverged {
-        /// Number of iterations performed before the watchdog fired.
-        iterations: usize,
-        /// Residual at detection (infinite when an iterate went
-        /// non-finite).
-        residual: f64,
-    },
     /// A formula produced a non-finite (or negative) result from inputs
     /// that passed validation — numerical overflow in an intermediate,
     /// typically at extreme loads just below a stability boundary.
@@ -103,21 +83,6 @@ impl fmt::Display for QueueingError {
             QueueingError::InvalidProbability { probability } => {
                 write!(f, "invalid probability {probability}: must lie in [0, 1]")
             }
-            QueueingError::NoConvergence {
-                iterations,
-                residual,
-            } => {
-                write!(f, "fixed point did not converge after {iterations} iterations (residual {residual:e})")
-            }
-            QueueingError::Diverged {
-                iterations,
-                residual,
-            } => {
-                write!(
-                    f,
-                    "fixed point diverged after {iterations} iterations (residual {residual:e})"
-                )
-            }
             QueueingError::Numerical { value } => {
                 write!(f, "computation produced non-finite value {value}")
             }
@@ -157,7 +122,7 @@ pub(crate) fn check_scv(scv: f64) -> crate::Result<()> {
 /// Output-domain guard: a mean waiting time must come out finite and
 /// non-negative. Catches numerical overflow that validated inputs can
 /// still produce just below a stability boundary, returning a typed error
-/// instead of letting `inf`/`NaN` leak into downstream fixed points.
+/// instead of letting `inf`/`NaN` leak into downstream service times.
 pub(crate) fn check_wait(w: f64) -> crate::Result<f64> {
     if !w.is_finite() || w < 0.0 {
         return Err(QueueingError::Numerical { value: w });
@@ -186,20 +151,6 @@ mod tests {
             (
                 QueueingError::InvalidProbability { probability: 1.5 },
                 "probability",
-            ),
-            (
-                QueueingError::NoConvergence {
-                    iterations: 10,
-                    residual: 1e-3,
-                },
-                "converge",
-            ),
-            (
-                QueueingError::Diverged {
-                    iterations: 40,
-                    residual: 1e9,
-                },
-                "diverged",
             ),
             (QueueingError::Numerical { value: f64::NAN }, "non-finite"),
             (QueueingError::BracketError { lo: 0.0, hi: 1.0 }, "bracket"),

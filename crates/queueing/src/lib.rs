@@ -25,8 +25,8 @@
 //!   geometric-occupancy-tail composition with Eq. 10 for single-station
 //!   analyses; all exact no-ops at `L = 1`.
 //! * [`distribution`] — service-time distribution descriptions by moments.
-//! * [`solver`] — damped fixed-point iteration and bracketing root finding,
-//!   used to resolve cyclic channel dependencies and saturation points.
+//! * [`solver`] — bracketing root finding, used to locate saturation
+//!   points.
 //!
 //! # Conventions
 //!
@@ -79,7 +79,7 @@ pub mod wormhole;
 pub use blocking::blocking_probability;
 pub use distribution::ServiceMoments;
 pub use error::QueueingError;
-pub use solver::{BisectionConfig, FixedPointConfig, FixedPointOutcome};
+pub use solver::BisectionConfig;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, QueueingError>;

@@ -132,20 +132,6 @@ proptest! {
         let root = solver::bisect_increasing(0.0, 1.0, cfg, |x| Ok(x * x * x - target * target * target)).unwrap();
         prop_assert!((root - target).abs() < 1e-9);
     }
-
-    #[test]
-    fn fixed_point_solves_random_contractions(
-        slope in -0.9..0.9f64,
-        offset in -10.0..10.0f64,
-    ) {
-        // x = slope·x + offset converges to offset/(1−slope).
-        let out = solver::fixed_point(&[0.0], solver::FixedPointConfig::default(), |x, fx| {
-            fx[0] = slope * x[0] + offset;
-            Ok(())
-        }).unwrap();
-        let expect = offset / (1.0 - slope);
-        prop_assert!((out.values[0] - expect).abs() < 1e-6 * (1.0 + expect.abs()));
-    }
 }
 
 // ---------------------------------------------------------------------------

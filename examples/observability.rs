@@ -1,13 +1,13 @@
 //! Observability walkthrough: attach the observer to a simulation, read
 //! the per-channel usage and stall-cause breakdown, export the worm
-//! lifecycle as JSONL and a Chrome/Perfetto trace, and capture the
-//! analytical solver's convergence telemetry.
+//! lifecycle as JSONL and a Chrome/Perfetto trace, and read the
+//! analytical model's per-station breakdown.
 //!
 //! ```text
 //! cargo run --release --example observability
 //! ```
 
-use wormsim::model::framework::{ring_spec, WarmStart};
+use wormsim::model::framework::bft_spec;
 use wormsim::obs::export::{events_to_chrome_trace, events_to_jsonl};
 use wormsim::prelude::*;
 use wormsim::sim::router::BftRouter;
@@ -86,24 +86,13 @@ fn main() {
         jsonl.lines().next().unwrap_or_default()
     );
 
-    // ---- Solver telemetry on the cyclic ring exemplar. ----
-    let ring = ring_spec(16, 16.0, 0.002);
-    let mut telemetry = ModelTelemetry::default();
-    ring.solve_warm_traced(
-        &ModelOptions::paper(),
-        &mut WarmStart::new(),
-        &mut telemetry,
-    )
-    .expect("below the knee");
-    println!(
-        "\n16-ring accelerated solve: {} evaluations, final residual {:.2e}, \
-         Aitken accepted {} / rejected {}",
-        telemetry.solver.len(),
-        telemetry.solver.final_residual,
-        telemetry.solver.aitken_accepts(),
-        telemetry.solver.aitken_rejects()
-    );
-    for row in telemetry.stations.iter().take(3) {
+    // ---- The model's per-station breakdown at the same operating point. ----
+    let spec = bft_spec(&BftParams::paper(64).unwrap(), 16.0, 0.1 / 16.0);
+    let opts = ModelOptions::paper().with_lanes(2);
+    let sol = spec.solve(&opts).expect("below the knee");
+    let stations = spec.station_breakdown(&sol, &opts).expect("solved spec");
+    println!("\nModel per-station breakdown (BFT N=64, load 0.1, L=2):");
+    for row in stations.iter().take(3) {
         println!(
             "  station {:<8} λ={:.4} x̄={:.2} W={:.2} util={:.3} inbound-blk={:.3}",
             row.name,

@@ -32,8 +32,8 @@
 //!   accounting — never a panic or a hang).
 //! * [`obs`] — zero-cost observability: worm-lifecycle event tracing,
 //!   per-channel/per-lane usage accounting, windowed time series with
-//!   MSER-5 steady-state detection, log-linear tail histograms, solver
-//!   convergence telemetry, and JSONL / Chrome `trace_event` exporters
+//!   MSER-5 steady-state detection, log-linear tail histograms, the
+//!   model's per-station breakdown, and JSONL / Chrome `trace_event` exporters
 //!   (lifecycle slices plus counter tracks). Disabled (the default) it
 //!   costs one not-taken branch per hook; enabled it is RNG-neutral —
 //!   the observed run's results are bit-for-bit the bare run's.
@@ -133,17 +133,16 @@ pub mod prelude {
     pub use wormsim_core::flows::{
         model_from_flows, model_from_flows_with_servers, workload_latency, FlowModelSweep,
     };
-    pub use wormsim_core::framework::{bft_spec_with_rates, ring_spec, BftLevelRates, WarmStart};
+    pub use wormsim_core::framework::{bft_spec_with_rates, BftLevelRates};
     pub use wormsim_core::options::{ModelOptions, ScvMode};
     pub use wormsim_core::throughput::SaturationPoint;
     pub use wormsim_core::ModelError;
     pub use wormsim_faults::{DegradedChoice, FaultError, FaultPlan, FaultSpec, FaultedBft};
-    pub use wormsim_guard::{Knee, KneeConfig, KneeError, Rung, SolveOutcome};
+    pub use wormsim_guard::{Knee, KneeConfig, KneeError, SolveOutcome};
     pub use wormsim_lanes::{LaneAllocatorKind, LaneConfig, LaneError, LaneStats};
     pub use wormsim_obs::{
-        detect_steady_state, Histogram, ModelTelemetry, ObsConfig, SimSnapshot, SolverTrace,
-        StallCause, StationBreakdown, SteadyState, TimeSeriesConfig, TimeSeriesResult, WindowStats,
-        WormEvent,
+        detect_steady_state, Histogram, ObsConfig, SimSnapshot, StallCause, StationBreakdown,
+        SteadyState, TimeSeriesConfig, TimeSeriesResult, WindowStats, WormEvent,
     };
     pub use wormsim_queueing::{QueueingError, ServiceMoments};
     pub use wormsim_sim::config::{EngineKind, SimConfig, TrafficConfig, TrafficPattern};

@@ -18,7 +18,7 @@ use std::path::Path;
 
 /// Current schema literals — keep in sync with `bench_baseline.rs`.
 const SIM_SCHEMA: &str = "wormsim-bench-sim/v7";
-const MODEL_SCHEMA: &str = "wormsim-bench-model/v3";
+const MODEL_SCHEMA: &str = "wormsim-bench-model/v4";
 
 fn read_baseline(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
@@ -85,6 +85,27 @@ fn baselines_self_compare_without_regressions() {
     let report = compare_dirs(root, root, &CompareConfig::default())
         .unwrap_or_else(|e| panic!("self-compare failed to load: {e}"));
     assert_eq!(report.regressions(), 0, "{}", report.render());
+}
+
+/// The committed observability-overhead A/B point must satisfy its own
+/// gate: a baseline recording an observer-disabled run slower than its
+/// stated budget would pin a regression as the reference.
+#[test]
+fn committed_obs_overhead_ratio_is_within_budget() {
+    use wormsim::experiments::bench_compare::Json;
+    let doc = Json::parse(&read_baseline("BENCH_sim.json"))
+        .unwrap_or_else(|e| panic!("BENCH_sim.json: {e}"));
+    let field = |name: &str| {
+        doc.get("obs_overhead")
+            .and_then(|o| o.get(name))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("BENCH_sim.json: missing obs_overhead.{name}"))
+    };
+    let (ratio, budget) = (field("ratio"), field("budget"));
+    assert!(
+        ratio <= budget,
+        "committed obs_overhead.ratio {ratio} exceeds its budget {budget}"
+    );
 }
 
 #[test]

@@ -1,53 +1,12 @@
-//! Warm-started model sweeps: correctness (same answers as cold solves),
-//! economy (fewer fixed-point iterations), and non-regression of the
-//! paper's closed-form Figure 2/3 numbers.
+//! Model load sweeps: a build-once [`FlowModelSweep`] gives the same
+//! answers as rebuilding the model at every load, and the paper's
+//! closed-form Figure 2/3 numbers do not move.
 
 use wormsim::model::bft::BftModel;
 use wormsim::model::flows::model_from_flows;
-use wormsim::model::framework::{bft_spec, ring_spec, WarmStart};
+use wormsim::model::framework::bft_spec;
 use wormsim::model::options::ModelOptions;
 use wormsim::prelude::*;
-
-#[test]
-fn warm_sweep_matches_cold_to_1e9_and_cuts_iterations_by_30_percent() {
-    // The acceptance sweep: 20 ascending loads on a cyclic framework spec
-    // (the ring — tree class graphs are DAGs and never iterate). Warm
-    // solves must agree with cold solves to 1e-9 per component and spend
-    // ≥30% fewer total fixed-point iterations, strictly fewer on ≥80% of
-    // interior points.
-    // Up to ~95% of the ring-16 knee (λ₀ ≈ 0.0021).
-    let loads: Vec<f64> = (1..=20).map(|i| 0.0001 * f64::from(i)).collect();
-    let opts = ModelOptions::paper();
-    let mut warm = WarmStart::new();
-    let mut cold_total = 0usize;
-    let mut strictly_lower = 0usize;
-    for (pi, &lambda0) in loads.iter().enumerate() {
-        let spec = ring_spec(16, 16.0, lambda0);
-        let cold = spec.solve(&opts).expect("below the knee");
-        let hot = spec.solve_warm(&opts, &mut warm).expect("below the knee");
-        cold_total += cold.iterations;
-        assert!(cold.iterations > 0, "ring must engage the fixed point");
-        for (a, b) in cold.service_times.iter().zip(&hot.service_times) {
-            assert!(
-                (a - b).abs() < 1e-9 * (1.0 + a.abs()),
-                "λ0={lambda0}: cold {a} vs warm {b}"
-            );
-        }
-        if pi > 0 && hot.iterations < cold.iterations {
-            strictly_lower += 1;
-        }
-    }
-    let interior = loads.len() - 1;
-    assert!(
-        strictly_lower as f64 >= 0.8 * interior as f64,
-        "warm start strictly lower on only {strictly_lower}/{interior} interior points"
-    );
-    assert!(
-        (warm.total_iterations() as f64) <= 0.7 * cold_total as f64,
-        "iteration reduction below 30%: warm {} vs cold {cold_total}",
-        warm.total_iterations()
-    );
-}
 
 #[test]
 fn flow_model_sweep_agrees_with_fresh_builds_across_patterns() {
@@ -114,27 +73,4 @@ fn figure_2_3_closed_form_numbers_are_unchanged() {
         (sat - 0.039_092_332_047).abs() < 1e-9,
         "1024/32-flit saturation moved: {sat}"
     );
-}
-
-#[test]
-fn warm_start_across_a_saturation_bracket_is_safe() {
-    // Sweeping *into* saturation: failed points must not poison the warm
-    // state, and post-failure points must still match cold solves.
-    let opts = ModelOptions::paper();
-    let mut warm = WarmStart::new();
-    let mut failures = 0;
-    for i in 1..=12 {
-        let lambda0 = 0.0004 * f64::from(i); // crosses the ring-12 knee ≈ 0.0029
-        let spec = ring_spec(12, 16.0, lambda0);
-        match (spec.solve(&opts), spec.solve_warm(&opts, &mut warm)) {
-            (Ok(cold), Ok(hot)) => {
-                for (a, b) in cold.service_times.iter().zip(&hot.service_times) {
-                    assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()));
-                }
-            }
-            (Err(_), Err(_)) => failures += 1,
-            other => panic!("λ0={lambda0}: cold/warm disagree on feasibility: {other:?}"),
-        }
-    }
-    assert!(failures > 0, "the sweep must actually cross the knee");
 }
